@@ -103,18 +103,18 @@ def pairwise_betas(obs: ObservationSet, a: float,
                    config: HistogramConfig = HistogramConfig()) -> np.ndarray:
     """All valid pairwise beta values from intensity-domain observations."""
     values = []
-    for group in obs.groups.values():
-        ordered = sorted(group, key=lambda o: (o.distance, o.frame))
-        for i in range(len(ordered)):
-            for j in range(i + 1, len(ordered)):
-                o1, o2 = ordered[i], ordered[j]
-                if abs(1.0 / o1.distance - 1.0 / o2.distance) < config.min_inverse_depth_gap:
+    distances, levels = obs.distance.tolist(), obs.radiance.tolist()
+    for first, last in zip(obs.near.tolist(), obs.far.tolist()):
+        for i in range(first, last + 1):
+            for j in range(i + 1, last + 1):
+                d1, d2 = distances[i], distances[j]
+                if abs(1.0 / d1 - 1.0 / d2) < config.min_inverse_depth_gap:
                     continue
-                num = o2.radiance - a
-                den = o1.radiance - a
+                num = levels[j] - a
+                den = levels[i] - a
                 if num == 0 or den == 0 or (num > 0) != (den > 0):
                     continue
-                b = math.log(num / den) / (o1.distance - o2.distance)
+                b = math.log(num / den) / (d1 - d2)
                 if math.isfinite(b):
                     values.append(b)
     return np.array(values)

@@ -101,8 +101,7 @@ def _cmd_estimate(args) -> int:
         for path in args.maps:
             graph = load_map(path)
             latest = max(graph.frames)
-            pos = graph.frames.get(latest)
-            position = float(np.linalg.norm(pos)) if pos is not None else None
+            position = graph.frames.get(latest)
             if position is not None and not should_update(position, state, config):
                 print(f"# frame={latest} skipped: moved less than "
                       f"{config.update_gate} m since last update", file=out)

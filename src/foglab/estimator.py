@@ -76,7 +76,7 @@ class EstimatorState:
 
     previous: Optional[FogEstimate] = None
     inlier_counts: dict[tuple[int, int], int] = field(default_factory=dict)
-    last_update_position: Optional[float] = None
+    last_update_position: Optional[tuple[float, ...] | float] = None
 
     def clone(self) -> "EstimatorState":
         prev = None
@@ -109,12 +109,6 @@ class EstimateResult:
     degraded: bool = False
 
 
-def _extremal_obs(group):
-    """Observations at the smallest and largest distance (stable order)."""
-    ordered = sorted(group, key=lambda o: (o.distance, o.frame))
-    return ordered[0], ordered[-1]
-
-
 def derive_bounds(obs: ObservationSet, gmap: GammaMap,
                   eta: float = 2.0,
                   beta_bounds: tuple[float, float] = DEFAULT_BETA_BOUNDS) -> Bounds:
@@ -130,35 +124,26 @@ def derive_bounds(obs: ObservationSet, gmap: GammaMap,
     """
     lo_all = expand(gmap, 0.0)
     hi_all = expand(gmap, 255.0)
-    lc_bounds: dict[int, tuple[float, float]] = {}
-    candidates: list[float] = []
-    far_radiances: list[float] = []
-    for n in obs.landmark_ids:
-        near, far = _extremal_obs(obs.groups[n])
-        spread = far.distance - near.distance
-        far_radiances.append(far.radiance)
-        lo, hi = lo_all, hi_all
-        if spread > 0:
-            slope = (compress(gmap, far.radiance, clamp=True)
-                     - compress(gmap, near.radiance, clamp=True)) / spread
-            # noise can push observed radiances slightly out of the map's
-            # range; clamp so the box stays ordered
-            if slope > eta:
-                hi = min(max(near.radiance, lo_all), hi_all)
-                candidates.append(min(max(far.radiance, lo_all), hi_all))
-            elif slope < -eta:
-                lo = min(max(near.radiance, lo_all), hi_all)
-        lc_bounds[n] = (lo, hi)
-    if candidates:
+    near_l, far_l = obs.radiance[obs.near], obs.radiance[obs.far]
+    spread = obs.distance[obs.far] - obs.distance[obs.near]
+    rise = compress(gmap, far_l, clamp=True) - compress(gmap, near_l, clamp=True)
+    slope = np.divide(rise, spread, out=np.zeros_like(rise), where=spread > 0)
+    # noise can push observed radiances slightly out of the map's range;
+    # clamp so the box stays ordered
+    near_c, far_c = np.clip(near_l, lo_all, hi_all), np.clip(far_l, lo_all, hi_all)
+    lo = np.where(slope < -eta, near_c, lo_all)
+    hi = np.where(slope > eta, near_c, hi_all)
+    candidates = far_c[slope > eta]
+    if candidates.size:
         # A steep-slope landmark's far-range radiance sits below the haze
         # level, so the typical far-range radiance caps the bound; without
         # the cap a handful of gross outliers (the only points that can look
         # steep once everything is fog-washed) can squeeze the box above the
         # true value.
-        l_inf_lo = min(float(np.median(candidates)),
-                       float(np.median(far_radiances)))
+        l_inf_lo = min(float(np.median(candidates)), float(np.median(far_l)))
     else:
         l_inf_lo = lo_all
+    lc_bounds = dict(zip(obs.landmark_ids, zip(lo.tolist(), hi.tolist())))
     return Bounds(beta=beta_bounds, l_inf=(l_inf_lo, hi_all), lc=lc_bounds)
 
 
@@ -171,32 +156,25 @@ def initialize(obs: ObservationSet, state: EstimatorState, bounds: Bounds) -> np
     """
     ids = obs.landmark_ids
     prev = state.previous
-    beta0 = prev.beta if prev is not None else DEFAULT_BETA_INIT
-    if prev is not None:
-        l_inf0 = prev.l_inf
-    else:
-        far_radiances = [_extremal_obs(obs.groups[n])[1].radiance for n in ids]
-        l_inf0 = float(np.median(far_radiances))
     x = np.empty(2 + len(ids))
-    x[0], x[1] = beta0, l_inf0
-    for k, n in enumerate(ids):
-        if prev is not None and n in prev.lc:
-            x[2 + k] = prev.lc[n]
-        else:
-            x[2 + k] = _extremal_obs(obs.groups[n])[0].radiance
+    if prev is None:
+        x[0], x[1] = DEFAULT_BETA_INIT, float(np.median(obs.radiance[obs.far]))
+        x[2:] = obs.radiance[obs.near]
+    else:
+        x[0], x[1] = prev.beta, prev.l_inf
+        x[2:] = [prev.lc.get(n, L) for n, L in zip(ids, obs.radiance[obs.near].tolist())]
     lo, hi = bounds.as_vectors(ids)
     return np.clip(x, lo, hi)
 
 
 def compute_weights(obs: ObservationSet, reference: FogEstimate,
-                    inlier_counts: dict[tuple[int, int], int]) -> dict[tuple[int, int], float]:
-    """Stage-1 confidence weights per (frame, landmark) observation."""
-    weights = {}
-    for n, group in obs.groups.items():
-        contrast = abs(reference.lc[n] - reference.l_inf)
-        for o in group:
-            weights[(o.frame, n)] = contrast * (inlier_counts.get((o.frame, n), 0) + 1)
-    return weights
+                    inlier_counts: dict[tuple[int, int], int]) -> np.ndarray:
+    """Stage-1 confidence weights, one per observation row."""
+    contrast = np.array([abs(reference.lc[n] - reference.l_inf)
+                         for n in obs.landmark_ids])
+    counts = np.array([inlier_counts.get(key, 0) for key in
+                       zip(obs.frame.tolist(), obs.landmark.tolist())], dtype=float)
+    return contrast[obs.slot] * (counts + 1)
 
 
 def huber_delta_radiance(gmap: GammaMap, delta_intensity: float) -> float:
@@ -207,64 +185,47 @@ def huber_delta_radiance(gmap: GammaMap, delta_intensity: float) -> float:
             - expand(gmap, mid - delta_intensity / 2.0))
 
 
-@dataclass
-class _Packed:
-    ids: list[int]
-    keys: list[tuple[int, int]]
-    d: np.ndarray
-    L: np.ndarray
-    slot: np.ndarray
+def _fog_problem(n_params: int, d: np.ndarray, L: np.ndarray, slot: np.ndarray,
+                 **fields) -> ResidualProblem:
+    """The fog model over the given observation rows; ``fields`` are the
+    remaining ResidualProblem fields (weights, loss, bounds)."""
+    def residual(x: np.ndarray) -> np.ndarray:
+        t = np.exp(-x[0] * d)
+        return L - ((x[slot + 2] - x[1]) * t + x[1])
 
-    @classmethod
-    def from_obs(cls, obs: ObservationSet) -> "_Packed":
-        ids = obs.landmark_ids
-        keys, d, L, slot = [], [], [], []
-        for k, n in enumerate(ids):
-            for o in obs.groups[n]:
-                keys.append((o.frame, n))
-                d.append(o.distance)
-                L.append(o.radiance)
-                slot.append(k)
-        return cls(ids, keys, np.array(d), np.array(L), np.array(slot, dtype=int))
-
-    def subset(self, mask: np.ndarray) -> "_Packed":
-        keys = [k for k, keep in zip(self.keys, mask) if keep]
-        return _Packed(self.ids, keys, self.d[mask], self.L[mask], self.slot[mask])
-
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        t = np.exp(-x[0] * self.d)
-        return self.L - ((x[self.slot + 2] - x[1]) * t + x[1])
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        t = np.exp(-x[0] * self.d)
-        J = np.zeros((self.d.size, 2 + len(self.ids)))
-        J[:, 0] = self.d * (x[self.slot + 2] - x[1]) * t
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        t = np.exp(-x[0] * d)
+        J = np.zeros((d.size, x.size))
+        J[:, 0] = d * (x[slot + 2] - x[1]) * t
         J[:, 1] = t - 1.0
-        J[np.arange(self.d.size), self.slot + 2] = -t
+        J[np.arange(d.size), slot + 2] = -t
         return J
+    return ResidualProblem(n_params, residual, jacobian, **fields)
 
 
 def residual_and_jacobian(params: np.ndarray, obs: ObservationSet):
     """Residual vector and Jacobian of the fog model at ``params``.
 
     ``params`` is [beta, l_inf, lc...] with clear radiances in sorted
-    landmark id order; rows follow the same ordering, observations sorted by
-    distance within each landmark.
+    landmark id order; rows follow the observation rows, sorted by distance
+    within each landmark.
     """
-    packed = _Packed.from_obs(obs)
     params = np.asarray(params, dtype=float)
-    if params.shape != (2 + len(packed.ids),):
+    if params.shape != (2 + len(obs.landmark_ids),):
         raise ValueError("params must be [beta, l_inf] plus one lc per landmark")
-    return packed.residual(params), packed.jacobian(params)
+    problem = _fog_problem(params.size, obs.distance, obs.radiance, obs.slot)
+    return problem.residual(params), problem.jacobian(params)
 
 
-def should_update(position: float, state: EstimatorState,
+def should_update(position: tuple[float, ...] | float, state: EstimatorState,
                   config: EstimatorConfig = EstimatorConfig()) -> bool:
     """True when the platform has moved at least the update gate since the
-    last estimate (or none was made yet)."""
+    last estimate (or none was made yet). ``position`` is a coordinate
+    vector, or a scalar position along a path."""
     if state.last_update_position is None:
         return True
-    return abs(position - state.last_update_position) >= config.update_gate
+    moved = np.linalg.norm(np.subtract(position, state.last_update_position))
+    return moved >= config.update_gate
 
 
 def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
@@ -274,42 +235,40 @@ def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
     Raises NotEnoughDataError when fewer than ``xi_k`` landmarks qualify and
     DegenerateDataError when no landmark has any distance spread. An empty
     stage-1 inlier set skips stage 2 and flags the result as degraded.
+    Inlier counts of frames outside ``obs`` are dropped from ``state``.
     """
+    ids = obs.landmark_ids
     if not check_sufficiency(obs, config.thresholds):
         raise NotEnoughDataError(
-            f"{len(obs.groups)} qualifying landmarks, xi_k={config.xi_k} required")
-    if all(_extremal_obs(g)[1].distance == _extremal_obs(g)[0].distance
-           for g in obs.groups.values()):
+            f"{len(ids)} qualifying landmarks, xi_k={config.xi_k} required")
+    if np.all(obs.distance[obs.far] == obs.distance[obs.near]):
         raise DegenerateDataError("no landmark has distance spread; beta is unidentifiable")
 
     bounds = derive_bounds(obs, gmap, config.eta, config.beta_bounds)
     x0 = initialize(obs, state, bounds)
-    packed = _Packed.from_obs(obs)
-    lo, hi = bounds.as_vectors(packed.ids)
+    lo, hi = bounds.as_vectors(ids)
 
     # reference for the confidence weights: previous estimate where available,
     # this update's initialization otherwise
     reference = FogEstimate(
-        beta=x0[0], l_inf=x0[1],
-        lc={n: x0[2 + k] for k, n in enumerate(packed.ids)})
+        beta=x0[0], l_inf=x0[1], lc={n: x0[2 + k] for k, n in enumerate(ids)})
     if config.uniform_weights:
-        w = np.ones(len(packed.keys))
+        w = np.ones(obs.n_observations)
     else:
-        wmap = compute_weights(obs, reference, state.inlier_counts)
-        w = np.array([wmap[key] for key in packed.keys])
+        w = compute_weights(obs, reference, state.inlier_counts)
 
     delta_l = huber_delta_radiance(gmap, config.delta)
     stage1 = solve(
-        ResidualProblem(n_params=x0.size, residual=packed.residual,
-                        jacobian=packed.jacobian, weights=w,
-                        loss="huber", huber_delta=delta_l,
-                        lower=lo, upper=hi),
+        _fog_problem(x0.size, obs.distance, obs.radiance, obs.slot, weights=w,
+                     loss="huber", huber_delta=delta_l, lower=lo, upper=hi),
         x0, config.solver)
 
     inlier = np.abs(stage1.residuals) <= delta_l
-    for key, good in zip(packed.keys, inlier):
-        if good:
-            state.inlier_counts[key] = state.inlier_counts.get(key, 0) + 1
+    counts = state.inlier_counts
+    for key in zip(obs.frame[inlier].tolist(), obs.landmark[inlier].tolist()):
+        counts[key] = counts.get(key, 0) + 1
+    frames = set(obs.frame.tolist())
+    state.inlier_counts = {key: c for key, c in counts.items() if key[0] in frames}
 
     stage2 = None
     degraded = False
@@ -318,17 +277,15 @@ def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
         if not inlier.any():
             degraded = True
         else:
-            sub = packed.subset(inlier)
             stage2 = solve(
-                ResidualProblem(n_params=x0.size, residual=sub.residual,
-                                jacobian=sub.jacobian, loss="square",
-                                lower=lo, upper=hi),
+                _fog_problem(x0.size, obs.distance[inlier], obs.radiance[inlier],
+                             obs.slot[inlier], loss="square", lower=lo, upper=hi),
                 stage1.params, config.solver)
             final = stage2.params
 
     result = FogEstimate(
         beta=float(final[0]), l_inf=float(final[1]),
-        lc={n: float(final[2 + k]) for k, n in enumerate(packed.ids)})
+        lc={n: float(final[2 + k]) for k, n in enumerate(ids)})
     state.previous = result
     return EstimateResult(estimate=result, state=state, bounds=bounds,
                           stage1=stage1, stage2=stage2,

@@ -246,10 +246,12 @@ class HistogramDemoResult:
 
 
 def _merge_observations(first: ObservationSet, second: ObservationSet) -> ObservationSet:
-    offset = 1 + max(first.groups)
-    groups = dict(first.groups)
-    groups.update({offset + n: g for n, g in second.groups.items()})
-    return ObservationSet(groups)
+    offset = 1 + max(first.landmark_ids)
+    return ObservationSet.from_columns(
+        np.concatenate((first.frame, second.frame)),
+        np.concatenate((first.landmark, second.landmark + offset)),
+        np.concatenate((first.distance, second.distance)),
+        np.concatenate((first.radiance, second.radiance)))
 
 
 def run_histogram_demo(config: HistogramDemoConfig = HistogramDemoConfig()) -> HistogramDemoResult:

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import MapFormatError
 from .photometry import ChannelGammaMaps, GammaMap, expand
 from .scattering import LUMA_WEIGHTS
@@ -99,28 +101,66 @@ class LocalMapGraph:
             edges={k: e for k, e in self.edges.items() if k[0] in keep})
 
 
-@dataclass(frozen=True)
 class ObservationSet:
-    """Distance-radiance observations grouped by landmark."""
+    """Distance-radiance observations, one row per sighting, in read-only
+    columns sorted by (landmark, distance, frame) and validated when built.
 
-    groups: dict[int, tuple[Observation, ...]]
+    ``slot`` indexes ``landmark_ids``; ``near`` and ``far`` are the first and
+    last row of each landmark's block. ``ObservationSet(groups)`` flattens
+    ``{landmark: [Observation, ...]}``; :meth:`from_columns` takes arrays.
+    """
+
+    def __init__(self, groups: dict[int, tuple[Observation, ...]]):
+        rows = [(o.frame, n, o.distance, o.radiance)
+                for n, group in groups.items() for o in group]
+        frame, landmark, distance, radiance = zip(*rows) if rows else ((),) * 4
+        self._build(frame, landmark, distance, radiance)
+
+    @classmethod
+    def from_columns(cls, frame, landmark, distance, radiance) -> "ObservationSet":
+        obs = cls.__new__(cls)
+        obs._build(frame, landmark, distance, radiance)
+        return obs
+
+    def _build(self, frame, landmark, distance, radiance) -> None:
+        frame = np.asarray(frame, dtype=np.int64)
+        landmark = np.asarray(landmark, dtype=np.int64)
+        distance = np.asarray(distance, dtype=float)
+        radiance = np.asarray(radiance, dtype=float)
+        if not (frame.shape == landmark.shape == distance.shape == radiance.shape
+                == (frame.size,)):
+            raise ValueError("observation columns must be 1-D and equally long")
+        if not (np.all(np.isfinite(distance)) and np.all(distance > 0)):
+            raise ValueError("observation distances must be positive and finite")
+        if not np.all(np.isfinite(radiance)):
+            raise ValueError("observation radiances must be finite")
+        order = np.lexsort((frame, distance, landmark))
+        self.frame, self.landmark = frame[order], landmark[order]
+        self.distance, self.radiance = distance[order], radiance[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = self.landmark[1:] != self.landmark[:-1]
+        self.slot = np.cumsum(first) - 1
+        self.near = np.flatnonzero(first)
+        self.far = np.flatnonzero(np.roll(first, -1))
+        for col in (self.frame, self.landmark, self.distance, self.radiance,
+                    self.slot, self.near, self.far):
+            col.flags.writeable = False
 
     @property
     def landmark_ids(self) -> list[int]:
-        return sorted(self.groups)
+        return self.landmark[self.near].tolist()
 
     @property
     def n_observations(self) -> int:
-        return sum(len(g) for g in self.groups.values())
+        return self.distance.size
 
-
-def _edge_intensity(edge: Edge, channel: str, n_channels: int) -> float:
-    if n_channels == 1:
-        return edge.intensities[0]
-    if channel == "gray":
-        w = LUMA_WEIGHTS
-        return sum(wi * v for wi, v in zip(w, edge.intensities))
-    return edge.intensities[{"r": 0, "g": 1, "b": 2}[channel]]
+    @property
+    def groups(self) -> dict[int, tuple[Observation, ...]]:
+        """Per-landmark view of the rows, nearest first."""
+        rows = zip(self.frame.tolist(), self.distance.tolist(), self.radiance.tolist())
+        obs = [Observation(*row) for row in rows]
+        return {n: tuple(obs[s:e + 1]) for n, s, e in
+                zip(self.landmark_ids, self.near.tolist(), self.far.tolist())}
 
 
 def generate_dr_pairs(graph: LocalMapGraph, gmap: GammaMap | ChannelGammaMaps,
@@ -135,22 +175,27 @@ def generate_dr_pairs(graph: LocalMapGraph, gmap: GammaMap | ChannelGammaMaps,
     """
     if isinstance(gmap, ChannelGammaMaps):
         gmap = gmap.for_channel(channel)
-    by_landmark: dict[int, list[Observation]] = {}
-    for (m, n), edge in graph.edges.items():
-        i = _edge_intensity(edge, channel, graph.n_channels)
-        by_landmark.setdefault(n, []).append(
-            Observation(m, edge.distance, expand(gmap, i)))
-    groups = {
-        n: tuple(sorted(obs, key=lambda o: (o.distance, o.frame)))
-        for n, obs in by_landmark.items() if len(obs) >= thresholds.xi_f
-    }
-    return ObservationSet(groups)
+    keys = np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2)
+    distance = np.array([e.distance for e in graph.edges.values()])
+    values = np.array([e.intensities for e in graph.edges.values()]).reshape(
+        -1, graph.n_channels)
+    if graph.n_channels == 1:
+        intensity = values[:, 0]
+    elif channel == "gray":
+        w = LUMA_WEIGHTS
+        intensity = w[0] * values[:, 0] + w[1] * values[:, 1] + w[2] * values[:, 2]
+    else:
+        intensity = values[:, {"r": 0, "g": 1, "b": 2}[channel]]
+    _, slot, counts = np.unique(keys[:, 1], return_inverse=True, return_counts=True)
+    keep = counts[slot] >= thresholds.xi_f
+    return ObservationSet.from_columns(keys[keep, 0], keys[keep, 1], distance[keep],
+                                       expand(gmap, intensity[keep]))
 
 
 def check_sufficiency(obs: ObservationSet,
                       thresholds: SelectionThresholds = SelectionThresholds()) -> bool:
     """True when enough landmarks qualify for a joint estimate."""
-    return len(obs.groups) >= thresholds.xi_k
+    return len(obs.landmark_ids) >= thresholds.xi_k
 
 
 def save_map(graph: LocalMapGraph, path) -> None:

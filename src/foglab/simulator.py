@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .estimator import EstimatorConfig, EstimatorState, estimate
-from .localmap import LocalMapGraph, Observation, ObservationSet
+from .localmap import LocalMapGraph, ObservationSet
 from .photometry import ChannelGammaMaps, GammaMap, compress, expand
 from .scattering import FogParams, IntensityFogParams, predict_radiance, synthesize_fog_pixel
 
@@ -174,15 +174,6 @@ class GammaBiasResult:
         return np.array([p[1] for p in self.pairs])
 
 
-def _observation_set(d: np.ndarray, values: np.ndarray) -> ObservationSet:
-    groups = {
-        n: tuple(Observation(m, float(d[n, m]), float(values[n, m]))
-                 for m in range(d.shape[1]))
-        for n in range(d.shape[0])
-    }
-    return ObservationSet(groups)
-
-
 def gamma_bias_experiment(trials: int, beta_gt: float, gmap: GammaMap,
                           noise: NoiseSpec = NoiseSpec(std=1.0, domain="radiance",
                                                        quantize=False),
@@ -211,6 +202,7 @@ def gamma_bias_experiment(trials: int, beta_gt: float, gmap: GammaMap,
         expand(gmap, 20.0), expand(gmap, 235.0))
 
     identity = GammaMap.identity()
+    landmark, frame = np.indices((spec.n_landmarks, spec.n_frames)).reshape(2, -1)
     pairs: list[tuple[float, float]] = []
     failures = 0
     for t in range(trials):
@@ -229,10 +221,12 @@ def gamma_bias_experiment(trials: int, beta_gt: float, gmap: GammaMap,
         if noise.quantize:
             intensity = np.rint(intensity)
         try:
-            b_rad = estimate(_observation_set(d, radiance), gmap,
-                             EstimatorState(), config).estimate.beta
-            b_int = estimate(_observation_set(d, intensity), identity,
-                             EstimatorState(), config).estimate.beta
+            b_rad = estimate(
+                ObservationSet.from_columns(frame, landmark, d.ravel(), radiance.ravel()),
+                gmap, EstimatorState(), config).estimate.beta
+            b_int = estimate(
+                ObservationSet.from_columns(frame, landmark, d.ravel(), intensity.ravel()),
+                identity, EstimatorState(), config).estimate.beta
         except DataError:
             failures += 1
             continue

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from foglab.cli import cli_main
 from foglab.errors import (DegenerateDataError, MapFormatError,
                            NotEnoughDataError)
 from foglab.estimator import (DEFAULT_BETA_INIT, EstimatorConfig,
@@ -13,9 +14,10 @@ from foglab.estimator import (DEFAULT_BETA_INIT, EstimatorConfig,
                               format_estimate_record, huber_delta_radiance,
                               initialize, parse_estimate_record,
                               residual_and_jacobian, should_update)
-from foglab.localmap import Observation, ObservationSet
+from foglab.localmap import Observation, ObservationSet, generate_dr_pairs, save_map
 from foglab.photometry import GammaMap
-from foglab.scattering import transmission
+from foglab.scattering import FogParams, transmission
+from foglab.simulator import NoiseSpec, SceneSpec, generate_scene
 
 IDENT = GammaMap.identity()
 
@@ -136,9 +138,10 @@ def test_confidence_weights():
     ref = FogEstimate(beta=0.02, l_inf=210.0, lc={0: 110.0, 1: 170.0})
     counts = {(0, 0): 3}                # frame 0 of landmark 0 seen 3 times
     w = compute_weights(obs, ref, counts)
-    assert w[(0, 0)] == pytest.approx(100.0 * 4)   # contrast 100, count 3
-    assert w[(1, 0)] == pytest.approx(100.0)
-    assert w[(0, 1)] == pytest.approx(40.0)        # contrast 40, count 0
+    # rows: (frame 0, landmark 0), (frame 1, landmark 0), (frame 0, landmark 1)...
+    assert w[0] == pytest.approx(100.0 * 4)        # contrast 100, count 3
+    assert w[1] == pytest.approx(100.0)
+    assert w[2] == pytest.approx(40.0)             # contrast 40, count 0
 
 
 def test_huber_delta_in_radiance_domain():
@@ -265,6 +268,42 @@ def test_update_gate():
     assert not should_update(104.9, state, config)
     assert should_update(105.0, state, config)
     assert should_update(95.0, state, config)   # moving backwards counts
+
+
+def test_update_gate_measures_distance_travelled():
+    # a sideways move keeps the distance from the origin but covers 14.1 m
+    config = EstimatorConfig()
+    state = EstimatorState(last_update_position=(10.0, 0.0, 0.0))
+    assert should_update((0.0, 10.0, 0.0), state, config)
+    assert not should_update((10.0, 4.9, 0.0), state, config)
+
+
+def test_cli_estimate_updates_after_a_sideways_move(tmp_path, capsys):
+    paths = []
+    for k, position in enumerate([(10.0, 0.0, 0.0), (0.0, 10.0, 0.0)]):
+        graph, _ = generate_scene(SceneSpec(n_landmarks=16, n_frames=6),
+                                  FogParams(0.05, 200.0), IDENT,
+                                  NoiseSpec(std=0.5, seed=k))
+        graph.frames[max(graph.frames)] = position
+        paths.append(str(tmp_path / f"m{k}.map"))
+        save_map(graph, paths[-1])
+    assert cli_main(["estimate", *paths]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 2 and not any(line.startswith("#") for line in lines)
+
+
+def test_inlier_counts_stay_bounded_under_a_sliding_window():
+    graph, _ = generate_scene(
+        SceneSpec(n_landmarks=20, n_frames=45, start_distance_range=(200.0, 260.0)),
+        FogParams(0.03, 200.0), IDENT, NoiseSpec(std=0.5, seed=4))
+    frames = sorted(graph.frames)
+    state = EstimatorState()
+    for start in range(40):
+        window = graph.frame_subset(frames[start:start + 6])
+        obs = generate_dr_pairs(window, IDENT)
+        estimate(obs, IDENT, state, EstimatorConfig())
+        assert len(state.inlier_counts) <= obs.n_observations
+        assert {m for m, _ in state.inlier_counts} <= set(obs.frame.tolist())
 
 
 def test_config_validation():

@@ -45,17 +45,44 @@ def test_identity_map_keeps_intensities():
     assert all(o.radiance == 100.0 + n for n in obs.groups for o in obs.groups[n])
 
 
+UNSORTED_GROUPS = {
+    7: (Observation(3, 20.0, 50.0), Observation(1, 10.0, 60.0),
+        Observation(0, 20.0, 55.0), Observation(2, 15.0, 58.0)),
+    2: (Observation(0, 30.0, 9.0), Observation(1, 12.0, 8.0)),
+}
+
+
 def test_observations_sorted_by_distance_then_frame():
     g = LocalMapGraph()
     g.add_edge(3, 7, 20.0, [50.0])
     g.add_edge(1, 7, 10.0, [60.0])
     g.add_edge(0, 7, 20.0, [55.0])
     g.add_edge(2, 7, 15.0, [58.0])
-    obs = generate_dr_pairs(g, GammaMap.identity(),
-                            thresholds=SelectionThresholds(xi_f=4, xi_k=1))
-    seq = obs.groups[7]
-    assert [(o.distance, o.frame) for o in seq] == [(10.0, 1), (15.0, 2),
-                                                    (20.0, 0), (20.0, 3)]
+    from_graph = generate_dr_pairs(g, GammaMap.identity(),
+                                   thresholds=SelectionThresholds(xi_f=4, xi_k=1))
+    for obs in (from_graph, ObservationSet(UNSORTED_GROUPS)):
+        seq = obs.groups[7]
+        assert [(o.distance, o.frame) for o in seq] == [(10.0, 1), (15.0, 2),
+                                                        (20.0, 0), (20.0, 3)]
+        rows = list(zip(obs.landmark.tolist(), obs.distance.tolist(),
+                        obs.frame.tolist()))
+        assert rows == sorted(rows)
+        ids = obs.landmark_ids
+        assert obs.slot.tolist() == [ids.index(n) for n, _, _ in rows]
+        assert {n: set(obs.groups[n]) for n in ids} == \
+            {n: set(UNSORTED_GROUPS[n]) for n in ids}
+    assert ObservationSet(UNSORTED_GROUPS).landmark_ids == [2, 7]
+
+
+@pytest.mark.parametrize("distance, radiance", [
+    (10.0, float("nan")), (10.0, float("inf")), (0.0, 100.0),
+    (float("inf"), 100.0), (-5.0, 100.0)])
+def test_observations_are_validated_when_built(distance, radiance):
+    with pytest.raises(ValueError, match="distances|radiances"):
+        ObservationSet({0: (Observation(0, 10.0, 100.0),
+                            Observation(1, distance, radiance))})
+    with pytest.raises(ValueError, match="distances|radiances"):
+        ObservationSet.from_columns([0], [0], [distance], [radiance])
 
 
 def test_gamma_map_applied_to_intensities():
