@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from . import baselines, harness, simulator
-from .errors import DataError
+from .errors import DataError, NotEnoughDataError
 from .estimator import (EstimatorConfig, EstimatorState, estimate,
                         format_estimate_record, should_update)
 from .localmap import SelectionThresholds, generate_dr_pairs, load_map, save_map
@@ -72,12 +72,21 @@ def _cmd_simulate(args) -> int:
     if args.config is not None:
         with open(args.config, "r", encoding="ascii") as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise DataError("scene config must be a JSON object")
+        known = ("n_landmarks", "n_frames", "frame_spacing", "start_distance_range", "noise")
+        unknown = sorted(set(cfg) - set(known))
+        if unknown:
+            raise DataError(f"scene config has unknown keys {unknown}; known: {known}")
         spec = replace(spec, **{k: v for k, v in cfg.items()
                                 if k in ("n_landmarks", "n_frames", "frame_spacing")})
         if "start_distance_range" in cfg:
             spec = replace(spec, start_distance_range=tuple(cfg["start_distance_range"]))
         if "noise" in cfg:
-            noise = replace(noise, **cfg["noise"])
+            try:
+                noise = replace(noise, **cfg["noise"])
+            except TypeError as exc:      # not a mapping, or an unknown NoiseSpec field
+                raise DataError(f"noise config: {exc}") from exc
     fog = IntensityFogParams(_fog_beta(args), args.a)
     graph, truth = simulator.generate_scene(spec, fog, None, noise)
     save_map(graph, args.out)
@@ -100,6 +109,8 @@ def _cmd_estimate(args) -> int:
     try:
         for path in args.maps:
             graph = load_map(path)
+            if not graph.frames:
+                raise NotEnoughDataError(f"{path}: map has no frames")
             latest = max(graph.frames)
             position = graph.frames.get(latest)
             if position is not None and not should_update(position, state, config):
@@ -234,12 +245,14 @@ def _cmd_metrics(args) -> int:
     estimates, truths = [], []
     with open(args.csv, "r", newline="", encoding="ascii") as fh:
         reader = csv.DictReader(fh)
+        columns = reader.fieldnames or []
+        if args.column not in columns:
+            raise DataError(f"csv has no column {args.column!r}")
+        if args.truth is None and args.truth_column not in columns:
+            raise DataError(f"csv has no column {args.truth_column!r}; pass --truth")
         for rec in reader:
             estimates.append(float(rec[args.column]))
             if args.truth is None:
-                if args.truth_column not in rec:
-                    raise DataError(f"csv has no column {args.truth_column!r}; "
-                                    "pass --truth")
                 truths.append(float(rec[args.truth_column]))
     truth = args.truth if args.truth is not None else truths
     m = compute_metrics(estimates, truth)

@@ -16,7 +16,6 @@ The serialized form is line oriented (see docs/file_formats.md):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -25,11 +24,6 @@ import numpy as np
 from .errors import MapFormatError
 from .photometry import ChannelGammaMaps, GammaMap, expand
 from .scattering import LUMA_WEIGHTS
-
-
-class Edge(NamedTuple):
-    distance: float
-    intensities: tuple[float, ...]
 
 
 class Observation(NamedTuple):
@@ -52,40 +46,81 @@ class SelectionThresholds:
             raise ValueError("xi_k must be at least 1")
 
 
+def _edge_dtype(n_channels: int) -> np.dtype:
+    return np.dtype([("frame", np.int64), ("landmark", np.int64), ("distance", float),
+                     ("intensity", float, (n_channels,))])
+
+
+class EdgeError(ValueError):
+    """An invalid edge; ``row`` is its index in the columns it was given in."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 @dataclass
 class LocalMapGraph:
+    """Frames and landmarks, each with an optional position, and the edges.
+
+    ``edges`` is one structured array with fields ``frame``, ``landmark``,
+    ``distance`` and ``intensity`` (``(E, n_channels)``): one row per
+    sighting, in (frame, landmark) order. Graphs with edges are built by
+    :meth:`from_edges`, which validates the whole table at once.
+    """
+
     n_channels: int = 1
     frames: dict[int, tuple[float, float, float] | None] = field(default_factory=dict)
     landmarks: dict[int, tuple[float, float, float] | None] = field(default_factory=dict)
-    edges: dict[tuple[int, int], Edge] = field(default_factory=dict)
+    edges: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_channels not in (1, 3):
             raise ValueError("n_channels must be 1 or 3")
+        if self.edges is None:
+            self.edges = np.zeros(0, _edge_dtype(self.n_channels))
 
-    def add_frame(self, frame: int, position=None) -> None:
-        self.frames.setdefault(frame, tuple(position) if position is not None else None)
+    @classmethod
+    def from_edges(cls, frame, landmark, distance, intensity, n_channels: int = 1,
+                   frames=None, landmarks=None) -> "LocalMapGraph":
+        """Graph of the given edges; endpoints missing from ``frames`` or
+        ``landmarks`` are registered without a position.
 
-    def add_landmark(self, landmark: int, position=None) -> None:
-        self.landmarks.setdefault(landmark, tuple(position) if position is not None else None)
-
-    def add_edge(self, frame: int, landmark: int, distance: float, intensities) -> None:
-        key = (frame, landmark)
-        if key in self.edges:
-            raise ValueError(f"duplicate edge for frame {frame}, landmark {landmark}")
-        if not (math.isfinite(distance) and distance > 0):
-            raise ValueError("edge distance must be positive and finite")
-        vals = tuple(float(v) for v in intensities)
-        if len(vals) != self.n_channels:
-            raise ValueError(f"expected {self.n_channels} intensities, got {len(vals)}")
-        if any(not (0.0 <= v <= 255.0) for v in vals):
-            raise ValueError("intensities must lie in [0, 255]")
-        self.add_frame(frame)
-        self.add_landmark(landmark)
-        self.edges[key] = Edge(float(distance), vals)
-
-    def landmark_degree(self, landmark: int) -> int:
-        return sum(1 for (_, n) in self.edges if n == landmark)
+        ``intensity`` is ``(E, n_channels)``. Raises :class:`EdgeError` for
+        the first row, in the order given, that repeats an earlier
+        (frame, landmark) pair, has a distance that is not positive and
+        finite, or has an intensity outside [0, 255].
+        """
+        n_edges = np.size(frame)
+        intensity = np.asarray(intensity, dtype=float)
+        if intensity.shape != (n_edges, n_channels):
+            raise ValueError(f"expected {n_channels} intensities per edge, got an "
+                             f"array of shape {intensity.shape}")
+        table = np.empty(n_edges, _edge_dtype(n_channels))
+        table["frame"], table["landmark"] = frame, landmark
+        table["distance"], table["intensity"] = distance, intensity
+        order = np.lexsort((table["landmark"], table["frame"]))
+        table = table[order]
+        frame, landmark = table["frame"], table["landmark"]
+        distance, intensity = table["distance"], table["intensity"]
+        # the sort is stable, so a repeated pair sorts after its first sighting
+        repeat = np.zeros(n_edges, dtype=bool)
+        repeat[1:] = (frame[1:] == frame[:-1]) & (landmark[1:] == landmark[:-1])
+        problems = (
+            (repeat, "duplicate of an earlier edge"),
+            (~(np.isfinite(distance) & (distance > 0)), "distance must be positive and finite"),
+            (~np.all((intensity >= 0) & (intensity <= 255), axis=1),
+             "intensities must lie in [0, 255]"))
+        bad = np.logical_or.reduce([mask for mask, _ in problems])
+        if bad.any():
+            k = np.flatnonzero(bad)[np.argmin(order[bad])]
+            message = next(message for mask, message in problems if mask[k])
+            raise EdgeError(f"edge at frame {frame[k]}, landmark {landmark[k]}: {message}",
+                            int(order[k]))
+        return cls(n_channels,
+                   {**dict.fromkeys(np.unique(frame).tolist()), **(frames or {})},
+                   {**dict.fromkeys(np.unique(landmark).tolist()), **(landmarks or {})},
+                   table)
 
     def frame_subset(self, frame_ids) -> "LocalMapGraph":
         """Restriction to the given frames, e.g. the prefix of a stream.
@@ -95,10 +130,8 @@ class LocalMapGraph:
         """
         keep = set(frame_ids)
         return LocalMapGraph(
-            n_channels=self.n_channels,
-            frames={m: p for m, p in self.frames.items() if m in keep},
-            landmarks=dict(self.landmarks),
-            edges={k: e for k, e in self.edges.items() if k[0] in keep})
+            self.n_channels, {m: p for m, p in self.frames.items() if m in keep},
+            dict(self.landmarks), self.edges[np.isin(self.edges["frame"], list(keep))])
 
 
 class ObservationSet:
@@ -175,10 +208,8 @@ def generate_dr_pairs(graph: LocalMapGraph, gmap: GammaMap | ChannelGammaMaps,
     """
     if isinstance(gmap, ChannelGammaMaps):
         gmap = gmap.for_channel(channel)
-    keys = np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2)
-    distance = np.array([e.distance for e in graph.edges.values()])
-    values = np.array([e.intensities for e in graph.edges.values()]).reshape(
-        -1, graph.n_channels)
+    edges = graph.edges
+    values = edges["intensity"]
     if graph.n_channels == 1:
         intensity = values[:, 0]
     elif channel == "gray":
@@ -186,10 +217,10 @@ def generate_dr_pairs(graph: LocalMapGraph, gmap: GammaMap | ChannelGammaMaps,
         intensity = w[0] * values[:, 0] + w[1] * values[:, 1] + w[2] * values[:, 2]
     else:
         intensity = values[:, {"r": 0, "g": 1, "b": 2}[channel]]
-    _, slot, counts = np.unique(keys[:, 1], return_inverse=True, return_counts=True)
+    _, slot, counts = np.unique(edges["landmark"], return_inverse=True, return_counts=True)
     keep = counts[slot] >= thresholds.xi_f
-    return ObservationSet.from_columns(keys[keep, 0], keys[keep, 1], distance[keep],
-                                       expand(gmap, intensity[keep]))
+    return ObservationSet.from_columns(edges["frame"][keep], edges["landmark"][keep],
+                                       edges["distance"][keep], expand(gmap, intensity[keep]))
 
 
 def check_sufficiency(obs: ObservationSet,
@@ -199,22 +230,18 @@ def check_sufficiency(obs: ObservationSet,
 
 
 def save_map(graph: LocalMapGraph, path) -> None:
-    ids = sorted(set(graph.frames) | {m for (m, _) in graph.edges})
-    lids = sorted(set(graph.landmarks) | {n for (_, n) in graph.edges})
+    edges = graph.edges
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"localmap {len(ids)} {len(lids)} {len(graph.edges)} {graph.n_channels}\n")
-        for m in ids:
-            pos = graph.frames.get(m)
-            tail = "" if pos is None else " " + " ".join(repr(float(x)) for x in pos)
-            fh.write(f"frame {m}{tail}\n")
-        for n in lids:
-            pos = graph.landmarks.get(n)
-            tail = "" if pos is None else " " + " ".join(repr(float(x)) for x in pos)
-            fh.write(f"landmark {n}{tail}\n")
-        for (m, n) in sorted(graph.edges):
-            e = graph.edges[(m, n)]
-            vals = " ".join(repr(v) for v in e.intensities)
-            fh.write(f"edge {m} {n} {e.distance!r} {vals}\n")
+        fh.write(f"localmap {len(graph.frames)} {len(graph.landmarks)} {len(edges)} "
+                 f"{graph.n_channels}\n")
+        for kind, nodes in (("frame", graph.frames), ("landmark", graph.landmarks)):
+            for k in sorted(nodes):
+                pos = nodes[k]
+                tail = "" if pos is None else " " + " ".join(repr(float(x)) for x in pos)
+                fh.write(f"{kind} {k}{tail}\n")
+        for m, n, d, vals in zip(edges["frame"].tolist(), edges["landmark"].tolist(),
+                                 edges["distance"].tolist(), edges["intensity"].tolist()):
+            fh.write(f"edge {m} {n} {d!r} {' '.join(map(repr, vals))}\n")
 
 
 def _parse_position(parts: list[str], lineno: int):
@@ -233,8 +260,8 @@ def load_map(path) -> LocalMapGraph:
         lines = fh.readlines()
 
     header = None
-    graph = None
-    counts = (0, 0, 0)
+    frames, landmarks = {}, {}
+    ids, values, edge_lines = [], [], []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -250,29 +277,37 @@ def load_map(path) -> LocalMapGraph:
             if nc not in (1, 3):
                 raise MapFormatError("channel count must be 1 or 3", lineno)
             header = (nf, nk, ne)
-            graph = LocalMapGraph(n_channels=nc)
             continue
         kind = parts[0]
+        if kind in ("frame", "landmark") and len(parts) == 1:
+            raise MapFormatError(f"{kind} takes an id", lineno)
         try:
             if kind == "frame":
-                graph.frames[int(parts[1])] = _parse_position(parts[2:], lineno)
+                frames[int(parts[1])] = _parse_position(parts[2:], lineno)
             elif kind == "landmark":
-                graph.landmarks[int(parts[1])] = _parse_position(parts[2:], lineno)
+                landmarks[int(parts[1])] = _parse_position(parts[2:], lineno)
             elif kind == "edge":
-                if len(parts) != 4 + graph.n_channels:
+                if len(parts) != 4 + nc:
                     raise MapFormatError(
-                        f"edge takes frame, landmark, distance and {graph.n_channels} "
-                        "intensities", lineno)
-                graph.add_edge(int(parts[1]), int(parts[2]), float(parts[3]),
-                               [float(v) for v in parts[4:]])
+                        f"edge takes frame, landmark, distance and {nc} intensities", lineno)
+                ids.append((int(parts[1]), int(parts[2])))
+                values.append([float(v) for v in parts[3:]])
+                edge_lines.append(lineno)
             else:
                 raise MapFormatError(f"unknown record {kind!r}", lineno)
         except MapFormatError:
             raise
         except ValueError as exc:
             raise MapFormatError(str(exc), lineno) from exc
-    if graph is None:
+    if header is None:
         raise MapFormatError("empty file: missing localmap header")
+    ids = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    values = np.array(values, dtype=float).reshape(-1, 1 + nc)
+    try:
+        graph = LocalMapGraph.from_edges(ids[:, 0], ids[:, 1], values[:, 0], values[:, 1:],
+                                         nc, frames, landmarks)
+    except EdgeError as exc:
+        raise MapFormatError(str(exc), edge_lines[exc.row]) from exc
     counts = (len(graph.frames), len(graph.landmarks), len(graph.edges))
     if counts != header:
         raise MapFormatError(

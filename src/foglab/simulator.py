@@ -151,12 +151,10 @@ def generate_scene(spec: SceneSpec, fog, gmap: GammaMap | ChannelGammaMaps | Non
     if noise.quantize:
         intensity = np.rint(intensity)
 
-    graph = LocalMapGraph(n_channels=1)
-    for m in range(spec.n_frames):
-        graph.add_frame(m, (m * spec.frame_spacing, 0.0, 0.0))
-    for n in range(spec.n_landmarks):
-        for m in range(spec.n_frames):
-            graph.add_edge(m, n, float(d[n, m]), [float(intensity[n, m])])
+    landmark, frame = np.indices(d.shape).reshape(2, -1)
+    graph = LocalMapGraph.from_edges(
+        frame, landmark, d.ravel(), intensity.reshape(-1, 1),
+        frames={m: (m * spec.frame_spacing, 0.0, 0.0) for m in range(spec.n_frames)})
     return graph, truth
 
 

@@ -158,6 +158,13 @@ def test_metrics_missing_truth_fails(tmp_path, capsys):
     assert "--truth" in capsys.readouterr().err
 
 
+def test_metrics_missing_estimate_column_fails(tmp_path, capsys):
+    csv_path = tmp_path / "est.csv"
+    csv_path.write_text("estimate,truth\n11.0,10.0\n")
+    assert run("metrics", "--csv", csv_path, "--column", "beta_est") == 1
+    assert "error: csv has no column 'beta_est'" in capsys.readouterr().err
+
+
 def test_experiment_gamma_bias(tmp_path, capsys):
     out = tmp_path / "pairs.csv"
     assert run("experiment", "gamma-bias", "--trials", 3, "--out", out) == 0
@@ -197,6 +204,29 @@ def test_simulate_with_json_config(tmp_path):
     assert run("simulate", "--out", out, "--config", cfg) == 0
     text = out.read_text()
     assert text.startswith("localmap 6 17 ")
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"n_landmark": 17}, "'n_landmark'"),
+    ({"noise": {"sdt": 1.0}}, "'sdt'"),
+    ([17], "scene config must be a JSON object"),
+    ({"noise": 1.0}, "noise config: ")])
+def test_simulate_rejects_unknown_config_keys(tmp_path, capsys, config, key):
+    cfg = tmp_path / "scene.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "scene.map"
+    assert run("simulate", "--out", out, "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
+
+
+def test_estimate_on_a_map_without_frames_fails(tmp_path, capsys):
+    path = tmp_path / "empty.map"
+    path.write_text("localmap 0 0 0 1\n")
+    assert run("estimate", path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "map has no frames" in err
 
 
 def test_usage_errors_exit_2(capsys):

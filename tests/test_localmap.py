@@ -1,25 +1,27 @@
 """Local map graph, landmark selection, and the line-oriented map format."""
 
+import numpy as np
 import pytest
 
 from foglab.errors import MapFormatError
-from foglab.localmap import (LocalMapGraph, ObservationSet, Observation,
+from foglab.localmap import (EdgeError, LocalMapGraph, ObservationSet, Observation,
                              SelectionThresholds, check_sufficiency,
                              generate_dr_pairs, load_map, save_map)
 from foglab.photometry import ChannelGammaMaps, GammaMap
 
 
+def graph_of(edges, n_channels=1):
+    """Graph from (frame, landmark, distance, intensities) rows."""
+    frame, landmark, distance, intensity = zip(*edges)
+    return LocalMapGraph.from_edges(frame, landmark, distance, intensity, n_channels)
+
+
 def small_graph():
     """4 frames; landmarks 2-4 seen from all of them, 1 from two, 5 from three."""
-    g = LocalMapGraph()
-    for m in range(4):
-        for n in (2, 3, 4):
-            g.add_edge(m, n, distance=10.0 + 5.0 * m + n, intensities=[100.0 + n])
-    g.add_edge(0, 1, 8.0, [90.0])
-    g.add_edge(1, 1, 9.0, [91.0])
-    for m in (0, 2, 3):
-        g.add_edge(m, 5, 30.0 + m, [120.0])
-    return g
+    return graph_of(
+        [(m, n, 10.0 + 5.0 * m + n, [100.0 + n]) for m in range(4) for n in (2, 3, 4)]
+        + [(0, 1, 8.0, [90.0]), (1, 1, 9.0, [91.0])]
+        + [(m, 5, 30.0 + m, [120.0]) for m in (0, 2, 3)])
 
 
 def test_landmark_selection_by_frame_count():
@@ -53,11 +55,8 @@ UNSORTED_GROUPS = {
 
 
 def test_observations_sorted_by_distance_then_frame():
-    g = LocalMapGraph()
-    g.add_edge(3, 7, 20.0, [50.0])
-    g.add_edge(1, 7, 10.0, [60.0])
-    g.add_edge(0, 7, 20.0, [55.0])
-    g.add_edge(2, 7, 15.0, [58.0])
+    g = graph_of([(3, 7, 20.0, [50.0]), (1, 7, 10.0, [60.0]),
+                  (0, 7, 20.0, [55.0]), (2, 7, 15.0, [58.0])])
     from_graph = generate_dr_pairs(g, GammaMap.identity(),
                                    thresholds=SelectionThresholds(xi_f=4, xi_k=1))
     for obs in (from_graph, ObservationSet(UNSORTED_GROUPS)):
@@ -86,18 +85,14 @@ def test_observations_are_validated_when_built(distance, radiance):
 
 
 def test_gamma_map_applied_to_intensities():
-    g = LocalMapGraph()
-    for m in range(4):
-        g.add_edge(m, 0, 10.0 + m, [100.0])
+    g = graph_of([(m, 0, 10.0 + m, [100.0]) for m in range(4)])
     gmap = GammaMap(alpha=0.01, gamma=2.0, zeta=0.5)
     obs = generate_dr_pairs(g, gmap, thresholds=SelectionThresholds(xi_f=4, xi_k=1))
     assert all(o.radiance == pytest.approx(100.5) for o in obs.groups[0])
 
 
 def test_color_graph_channels_and_luma():
-    g = LocalMapGraph(n_channels=3)
-    for m in range(4):
-        g.add_edge(m, 0, 10.0 + m, [100.0, 200.0, 50.0])
+    g = graph_of([(m, 0, 10.0 + m, [100.0, 200.0, 50.0]) for m in range(4)], 3)
     maps = ChannelGammaMaps(gray=GammaMap.identity(), r=GammaMap.identity(),
                             g=GammaMap.identity(), b=GammaMap.identity())
     th = SelectionThresholds(xi_f=4, xi_k=1)
@@ -124,28 +119,28 @@ def test_thresholds_validation():
         SelectionThresholds(xi_k=0)
 
 
-def test_add_edge_validation():
-    g = LocalMapGraph()
-    g.add_edge(0, 0, 5.0, [1.0])
-    with pytest.raises(ValueError, match="duplicate"):
-        g.add_edge(0, 0, 6.0, [2.0])
-    with pytest.raises(ValueError, match="distance"):
-        g.add_edge(0, 1, 0.0, [1.0])
-    with pytest.raises(ValueError, match="distance"):
-        g.add_edge(0, 1, float("nan"), [1.0])
+def test_edge_table_validation():
+    good = [(2, 0, 4.0, [3.0]), (0, 0, 5.0, [1.0])]
+    for edge, match in [((0, 0, 6.0, [2.0]), "duplicate"),
+                        ((0, 1, 0.0, [1.0]), "distance"),
+                        ((0, 1, float("nan"), [1.0]), "distance"),
+                        ((0, 1, 5.0, [256.0]), "intensities"),
+                        ((0, 1, 5.0, [-1.0]), "intensities")]:
+        with pytest.raises(EdgeError, match=match) as info:
+            graph_of(good + [edge, (3, 3, -1.0, [1.0])])
+        assert info.value.row == 2      # the first bad row, in the order given
     with pytest.raises(ValueError, match="intensities"):
-        g.add_edge(0, 1, 5.0, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        g.add_edge(0, 1, 5.0, [256.0])
-    with pytest.raises(ValueError):
-        g.add_edge(0, 1, 5.0, [-1.0])
+        graph_of([(0, 1, 5.0, [1.0, 2.0])])
 
 
-def test_add_edge_registers_endpoints():
-    g = LocalMapGraph()
-    g.add_edge(7, 9, 5.0, [1.0])
-    assert 7 in g.frames and 9 in g.landmarks
-    assert g.landmark_degree(9) == 1
+def test_edge_table_registers_endpoints_and_sorts_rows():
+    g = LocalMapGraph.from_edges([7, 2, 7], [9, 9, 4], [5.0, 6.0, 7.0],
+                                 [[1.0], [2.0], [3.0]], frames={7: (1.0, 2.0, 3.0)})
+    assert g.frames == {2: None, 7: (1.0, 2.0, 3.0)}
+    assert g.landmarks == {4: None, 9: None}
+    assert g.edges["frame"].tolist() == [2, 7, 7]
+    assert g.edges["landmark"].tolist() == [9, 4, 9]
+    assert g.edges["intensity"].tolist() == [[2.0], [3.0], [1.0]]
 
 
 def test_channel_count_validation():
@@ -157,7 +152,7 @@ def test_frame_subset():
     g = small_graph()
     sub = g.frame_subset([0, 1])
     assert sorted(sub.frames) == [0, 1]
-    assert all(m in (0, 1) for (m, _) in sub.edges)
+    assert set(sub.edges["frame"].tolist()) == {0, 1}
     assert sub.landmarks == g.landmarks
     # prefix too short for xi_f=4: nothing qualifies
     assert generate_dr_pairs(sub, GammaMap.identity()).groups == {}
@@ -181,16 +176,37 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.n_channels == g.n_channels
     assert loaded.frames == g.frames
     assert loaded.landmarks == g.landmarks
-    assert loaded.edges == g.edges
+    assert np.array_equal(loaded.edges, g.edges)
 
 
 def test_save_load_round_trip_color(tmp_path):
-    g = LocalMapGraph(n_channels=3)
-    for m in range(4):
-        g.add_edge(m, 0, 12.0 + m, [10.0, 20.0, 30.0])
+    g = graph_of([(m, 0, 12.0 + m, [10.0, 20.0, 30.0]) for m in range(4)], 3)
     path = tmp_path / "map.txt"
     save_map(g, path)
-    assert load_map(path).edges == g.edges
+    assert np.array_equal(load_map(path).edges, g.edges)
+
+
+EXAMPLE_MAP = """\
+localmap 2 2 4 1
+frame 0 0.0 0.0 0.0
+frame 1 4.0 0.0 0.0
+landmark 7
+landmark 9
+edge 0 7 52.0 141.0
+edge 0 9 38.5 97.0
+edge 1 7 48.0 138.0
+edge 1 9 34.5 92.0
+"""
+
+
+def test_save_map_writes_the_documented_example(tmp_path):
+    # rows given out of order; the file lists them by (frame, landmark)
+    g = LocalMapGraph.from_edges([1, 0, 1, 0], [9, 9, 7, 7], [34.5, 38.5, 48.0, 52.0],
+                                 [[92.0], [97.0], [138.0], [141.0]],
+                                 frames={1: (4.0, 0.0, 0.0), 0: (0.0, 0.0, 0.0)})
+    path = tmp_path / "map.txt"
+    save_map(g, path)
+    assert path.read_text() == EXAMPLE_MAP
 
 
 def test_load_accepts_comments_and_blank_lines(tmp_path):
@@ -198,14 +214,17 @@ def test_load_accepts_comments_and_blank_lines(tmp_path):
     path.write_text("# a map\n\nlocalmap 1 1 1 1\nframe 0\nlandmark 3 # inline\n"
                     "edge 0 3 5.0 100.0\n")
     g = load_map(path)
-    assert g.edges[(0, 3)].distance == 5.0
+    assert g.edges["distance"].tolist() == [5.0]
 
 
 def test_load_reports_line_numbers(tmp_path):
     path = tmp_path / "map.txt"
-    path.write_text("localmap 1 1 1 1\nframe 0\nlandmark 3\nedge 0 3 -5.0 100.0\n")
-    with pytest.raises(MapFormatError, match="line 4"):
-        load_map(path)
+    for bad_edge in ("edge 0 3 -5.0 100.0", "edge 0 3 5.0 256", "edge 0 3 5.0 nan",
+                     "edge 0 3 5.0 1 2"):
+        path.write_text("localmap 2 2 3 1\nframe 0\nlandmark 3\nedge 1 2 9.0 7.0\n"
+                        f"# a comment\n{bad_edge}\nedge 1 3 4.0 300\n")
+        with pytest.raises(MapFormatError, match="^line 6: "):
+            load_map(path)
 
 
 def test_load_rejects_bad_header(tmp_path):
@@ -238,6 +257,14 @@ def test_load_rejects_unknown_record(tmp_path):
     path.write_text("localmap 0 0 0 1\nvertex 0\n")
     with pytest.raises(MapFormatError, match="unknown record"):
         load_map(path)
+
+
+def test_load_rejects_record_without_id(tmp_path):
+    path = tmp_path / "map.txt"
+    for kind in ("frame", "landmark"):
+        path.write_text(f"localmap 1 1 0 1\nframe 0\nlandmark 3\n{kind}\n")
+        with pytest.raises(MapFormatError, match=f"line 4: {kind} takes an id"):
+            load_map(path)
 
 
 def test_load_rejects_empty_file(tmp_path):

@@ -146,15 +146,15 @@ def test_rmse_decomposes_into_sd_and_bias(errors, truth):
                                  st.floats(-1e6, 1e6, **finite)),
                        max_size=3))
 def test_map_format_round_trip(edges, positions):
-    g = LocalMapGraph()
-    for (m, n), (d, i) in edges.items():
-        g.add_edge(m, n, d, [i])
+    frame, landmark = zip(*edges)
+    distance, level = zip(*edges.values())
+    g = LocalMapGraph.from_edges(frame, landmark, distance, np.array(level)[:, None])
     for pos, m in zip(positions, sorted(g.frames)):
         g.frames[m] = pos
     path = os.path.join(_MAP_DIR, "roundtrip.map")
     save_map(g, path)
     loaded = load_map(path)
-    assert loaded.edges == g.edges
+    assert np.array_equal(loaded.edges, g.edges)
     assert loaded.frames == g.frames
     assert loaded.landmarks == g.landmarks
 

@@ -15,10 +15,12 @@ IDENT = GammaMap.identity()
 CLEAN = NoiseSpec(std=0.0, quantize=False)
 
 
-def edge_matrix(graph, spec):
-    return np.array([[graph.edges[(m, n)].intensities[0]
-                      for m in range(spec.n_frames)]
-                     for n in range(spec.n_landmarks)])
+def edge_matrix(graph, spec, field="intensity"):
+    """(landmark, frame) matrix of one edge field of a gray scene."""
+    out = np.full((spec.n_landmarks, spec.n_frames), np.nan)
+    e = graph.edges
+    out[e["landmark"], e["frame"]] = e[field].reshape(len(e), -1)[:, 0]
+    return out
 
 
 def test_scene_is_reproducible():
@@ -26,7 +28,7 @@ def test_scene_is_reproducible():
     noise = NoiseSpec(std=2.0, seed=7)
     g1, t1 = generate_scene(spec, FogParams(0.05, 200.0), IDENT, noise)
     g2, t2 = generate_scene(spec, FogParams(0.05, 200.0), IDENT, noise)
-    assert g1.edges == g2.edges
+    assert np.array_equal(g1.edges, g2.edges)
     assert t1.clear == t2.clear
 
 
@@ -34,7 +36,7 @@ def test_seed_changes_the_scene():
     spec = SceneSpec(n_landmarks=8, n_frames=5)
     g1, _ = generate_scene(spec, FogParams(0.05, 200.0), IDENT, NoiseSpec(seed=0))
     g2, _ = generate_scene(spec, FogParams(0.05, 200.0), IDENT, NoiseSpec(seed=1))
-    assert g1.edges != g2.edges
+    assert not np.array_equal(g1.edges, g2.edges)
 
 
 def test_clean_scene_matches_model_exactly():
@@ -42,10 +44,9 @@ def test_clean_scene_matches_model_exactly():
     graph, truth = generate_scene(spec, FogParams(0.04, 210.0), IDENT, CLEAN)
     assert truth.domain == "radiance"
     assert truth.beta == 0.04 and truth.atmospheric == 210.0
-    for (m, n), edge in graph.edges.items():
-        lc = truth.clear[n]
-        expected = (lc - 210.0) * np.exp(-0.04 * edge.distance) + 210.0
-        assert edge.intensities[0] == pytest.approx(expected, abs=1e-9)
+    lc = np.array([truth.clear[n] for n in range(spec.n_landmarks)])[:, None]
+    expected = (lc - 210.0) * np.exp(-0.04 * edge_matrix(graph, spec, "distance")) + 210.0
+    assert edge_matrix(graph, spec) == pytest.approx(expected, abs=1e-9)
 
 
 def test_clear_values_respect_range():
@@ -62,7 +63,7 @@ def test_graph_structure():
     assert len(graph.edges) == 35
     assert graph.frames[2] == (6.0, 0.0, 0.0)
     # approach: distances shrink by the spacing each frame
-    d = [graph.edges[(m, 0)].distance for m in range(5)]
+    d = edge_matrix(graph, spec, "distance")[0]
     assert np.allclose(np.diff(d), -3.0)
 
 
@@ -71,23 +72,22 @@ def test_explicit_distances():
     spec = SceneSpec(n_landmarks=2, n_frames=2, explicit_distances=d,
                      value_range=(40.0, 90.0))
     graph, _ = generate_scene(spec, FogParams(0.05, 200.0), IDENT, CLEAN)
-    assert graph.edges[(1, 0)].distance == 20.0
-    assert graph.edges[(0, 1)].distance == 60.0
+    assert edge_matrix(graph, spec, "distance").tolist() == d.tolist()
 
 
 def test_quantization_rounds_to_integers():
     spec = SceneSpec(n_landmarks=5, n_frames=3)
     graph, _ = generate_scene(spec, FogParams(0.05, 200.0), IDENT,
                               NoiseSpec(std=0.0, quantize=True))
-    vals = [e.intensities[0] for e in graph.edges.values()]
-    assert all(v == round(v) for v in vals)
+    vals = graph.edges["intensity"]
+    assert np.array_equal(vals, np.round(vals))
 
 
 def test_intensities_always_in_sensor_range():
     spec = SceneSpec(n_landmarks=30, n_frames=4)
     graph, _ = generate_scene(spec, FogParams(0.05, 200.0), IDENT,
                               NoiseSpec(std=400.0, seed=3))
-    vals = np.array([e.intensities[0] for e in graph.edges.values()])
+    vals = graph.edges["intensity"]
     assert np.all((vals >= 0.0) & (vals <= 255.0))
 
 
@@ -95,11 +95,10 @@ def test_intensity_domain_scene():
     spec = SceneSpec(n_landmarks=6, n_frames=4, value_range=(40.0, 90.0))
     graph, truth = generate_scene(spec, IntensityFogParams(0.1, 204.0), None, CLEAN)
     assert truth.domain == "intensity" and truth.atmospheric == 204.0
-    for (m, n), edge in graph.edges.items():
-        expected = synthesize_fog_pixel(truth.clear[n],
-                                        IntensityFogParams(0.1, 204.0),
-                                        edge.distance)
-        assert edge.intensities[0] == pytest.approx(expected, abs=1e-9)
+    lc = np.array([truth.clear[n] for n in range(spec.n_landmarks)])[:, None]
+    expected = synthesize_fog_pixel(lc, IntensityFogParams(0.1, 204.0),
+                                    edge_matrix(graph, spec, "distance"))
+    assert edge_matrix(graph, spec) == pytest.approx(expected, abs=1e-9)
 
 
 def test_radiance_domain_noise_is_applied_before_compression():
