@@ -206,18 +206,18 @@ def test_simulate_with_json_config(tmp_path):
     assert text.startswith("localmap 6 17 ")
 
 
-@pytest.mark.parametrize("config, key", [
+@pytest.mark.parametrize("config, named", [
     ({"n_landmark": 17}, "'n_landmark'"),
     ({"noise": {"sdt": 1.0}}, "'sdt'"),
     ([17], "scene config must be a JSON object"),
     ({"noise": 1.0}, "noise config: ")])
-def test_simulate_rejects_unknown_config_keys(tmp_path, capsys, config, key):
+def test_simulate_rejects_bad_config(tmp_path, capsys, config, named):
     cfg = tmp_path / "scene.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "scene.map"
     assert run("simulate", "--out", out, "--config", cfg) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and key in err
+    assert err.startswith("error: ") and named in err
     assert not out.exists()
 
 
