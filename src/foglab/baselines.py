@@ -41,9 +41,8 @@ class HistogramConfig:
             raise ValueError("beta_range must be ordered")
 
     @classmethod
-    def bounded(cls, **kw) -> "HistogramConfig":
-        kw.setdefault("beta_range", DEFAULT_BETA_RANGE)
-        return cls(**kw)
+    def bounded(cls) -> "HistogramConfig":
+        return cls(beta_range=DEFAULT_BETA_RANGE)
 
 
 def _min_filter(a: np.ndarray, radius: int) -> np.ndarray:

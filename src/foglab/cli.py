@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 
 import numpy as np
@@ -62,6 +62,31 @@ def _estimator_config(args) -> EstimatorConfig:
         two_stage=not args.one_stage, uniform_weights=args.uniform_weights)
 
 
+def _config_value(key: str, value, default):
+    """``value`` of a JSON config key, checked against the kind of the field's
+    current ``default``: true or false for a bool, an integer for an int, a
+    number for a float, a list of numbers for a tuple."""
+    if isinstance(default, tuple):
+        if not isinstance(value, list) or len(value) != len(default):
+            raise DataError(f"config key {key!r} takes a list of {len(default)} numbers, "
+                            f"got {value!r}")
+        return tuple(_config_value(key, v, d) for v, d in zip(value, default))
+    kinds, name = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+                   float: ((int, float), "a number"), str: ((str,), "a string")}[type(default)]
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, kinds):
+        raise DataError(f"config key {key!r} takes {name}, got {value!r}")
+    return value
+
+
+def _csv_number(reader: csv.DictReader, rec: dict, column: str) -> float:
+    """``rec[column]`` as a float; a missing or non-numeric value names its line."""
+    try:
+        return float(rec[column])
+    except (TypeError, ValueError):
+        raise DataError(f"csv line {reader.line_num}: {column} must be a number, "
+                        f"got {rec[column]!r}") from None
+
+
 def _cmd_simulate(args) -> int:
     spec = simulator.SceneSpec(
         n_landmarks=args.landmarks, n_frames=args.frames,
@@ -78,15 +103,16 @@ def _cmd_simulate(args) -> int:
         unknown = sorted(set(cfg) - set(known))
         if unknown:
             raise DataError(f"scene config has unknown keys {unknown}; known: {known}")
-        spec = replace(spec, **{k: v for k, v in cfg.items()
-                                if k in ("n_landmarks", "n_frames", "frame_spacing")})
-        if "start_distance_range" in cfg:
-            spec = replace(spec, start_distance_range=tuple(cfg["start_distance_range"]))
-        if "noise" in cfg:
-            try:
-                noise = replace(noise, **cfg["noise"])
-            except TypeError as exc:      # not a mapping, or an unknown NoiseSpec field
-                raise DataError(f"noise config: {exc}") from exc
+        noise_cfg = cfg.get("noise", {})
+        if not isinstance(noise_cfg, dict):
+            raise DataError("noise config: must be a JSON object")
+        unknown = sorted(set(noise_cfg) - {f.name for f in fields(noise)})
+        if unknown:
+            raise DataError(f"noise config: unknown keys {unknown}")
+        spec = replace(spec, **{k: _config_value(k, v, getattr(spec, k))
+                                for k, v in cfg.items() if k != "noise"})
+        noise = replace(noise, **{k: _config_value(k, v, getattr(noise, k))
+                                  for k, v in noise_cfg.items()})
     fog = IntensityFogParams(_fog_beta(args), args.a)
     graph, truth = simulator.generate_scene(spec, fog, None, noise)
     save_map(graph, args.out)
@@ -163,8 +189,8 @@ def _cmd_fit_gamma(args) -> int:
             raise DataError("calibration csv needs channel,intensity,power columns")
         for rec in reader:
             chan = series.setdefault(rec["channel"], ([], []))
-            chan[0].append(float(rec["intensity"]))
-            chan[1].append(float(rec["power"]))
+            chan[0].append(_csv_number(reader, rec, "intensity"))
+            chan[1].append(_csv_number(reader, rec, "power"))
     fitted: dict[str, GammaMap] = {}
     for name, (i, p) in series.items():
         gmap, resid = fit_gamma_map(CalibrationSeries(np.array(i), np.array(p)))
@@ -251,9 +277,9 @@ def _cmd_metrics(args) -> int:
         if args.truth is None and args.truth_column not in columns:
             raise DataError(f"csv has no column {args.truth_column!r}; pass --truth")
         for rec in reader:
-            estimates.append(float(rec[args.column]))
+            estimates.append(_csv_number(reader, rec, args.column))
             if args.truth is None:
-                truths.append(float(rec[args.truth_column]))
+                truths.append(_csv_number(reader, rec, args.truth_column))
     truth = args.truth if args.truth is not None else truths
     m = compute_metrics(estimates, truth)
     print(f"n={m.n} rmse={m.rmse:.6g} mae={m.mae:.6g} sd={m.sd:.6g} "

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, MapFormatError, NotEnoughDataError
 from .localmap import ObservationSet, SelectionThresholds, check_sufficiency
-from .optimizer import ResidualProblem, SolveOptions, SolveReport, solve
+from .optimizer import ResidualProblem, SolveReport, solve
 from .photometry import GammaMap, compress, expand
 from .scattering import visibility_from_beta
 
@@ -44,7 +44,6 @@ class EstimatorConfig:
     update_gate: float = 5.0            # meters travelled between updates
     two_stage: bool = True
     uniform_weights: bool = False
-    solver: SolveOptions = field(default_factory=SolveOptions)
 
     def __post_init__(self):
         if not (0 < self.beta_bounds[0] < self.beta_bounds[1]):
@@ -77,13 +76,6 @@ class EstimatorState:
     previous: Optional[FogEstimate] = None
     inlier_counts: dict[tuple[int, int], int] = field(default_factory=dict)
     last_update_position: Optional[tuple[float, ...] | float] = None
-
-    def clone(self) -> "EstimatorState":
-        prev = None
-        if self.previous is not None:
-            prev = FogEstimate(self.previous.beta, self.previous.l_inf,
-                               dict(self.previous.lc))
-        return EstimatorState(prev, dict(self.inlier_counts), self.last_update_position)
 
 
 @dataclass
@@ -261,7 +253,7 @@ def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
     stage1 = solve(
         _fog_problem(x0.size, obs.distance, obs.radiance, obs.slot, weights=w,
                      loss="huber", huber_delta=delta_l, lower=lo, upper=hi),
-        x0, config.solver)
+        x0)
 
     inlier = np.abs(stage1.residuals) <= delta_l
     counts = state.inlier_counts
@@ -280,7 +272,7 @@ def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
             stage2 = solve(
                 _fog_problem(x0.size, obs.distance[inlier], obs.radiance[inlier],
                              obs.slot[inlier], loss="square", lower=lo, upper=hi),
-                stage1.params, config.solver)
+                stage1.params)
             final = stage2.params
 
     result = FogEstimate(

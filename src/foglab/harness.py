@@ -47,20 +47,26 @@ SUMMARY_CSV_FIELDS = ("method", "parameter", "rmse", "rmse_rel",
                       "mae", "mae_rel", "sd", "sd_rel", "n")
 
 
+# atmospheric intensity of the recovery and histogram-demonstration scenes
+A_INTENSITY = 204.0
+
+
 @dataclass(frozen=True)
 class RecoveryConfig:
     visibilities: tuple[float, ...] = (30.0, 40.0, 50.0, 60.0, 70.0, 80.0)
     repeats: int = 3
     seed: int = 0
-    a_intensity: float = 204.0
     scene: SceneSpec = field(default_factory=lambda: SceneSpec(
         n_landmarks=40, n_frames=6, start_distance_range=(30.0, 90.0),
         frame_spacing=4.0))
     noise: NoiseSpec = field(default_factory=lambda: NoiseSpec(
         std=1.0, quantize=True, outlier_fraction=0.1, outlier_std=40.0))
-    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
-    histogram: HistogramConfig = field(default_factory=HistogramConfig)
-    dark_radius: int = 3
+
+    def __post_init__(self):
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be at least 1, got {self.repeats}")
+        if not self.visibilities:
+            raise ValueError("need at least one visibility")
 
 
 @dataclass
@@ -123,10 +129,9 @@ def _run_ours(graph, config: EstimatorConfig):
 
 def run_recovery_suite(config: RecoveryConfig = RecoveryConfig(),
                        out_dir=None) -> RecoveryReport:
-    one_stage = replace(config.estimator, two_stage=False)
-    uniform = replace(config.estimator, uniform_weights=True)
-    bounded = replace(config.histogram, beta_range=HistogramConfig.bounded().beta_range)
-    unbounded = replace(config.histogram, beta_range=None)
+    estimator = EstimatorConfig()
+    one_stage = replace(estimator, two_stage=False)
+    uniform = replace(estimator, uniform_weights=True)
 
     n_scenarios = len(config.visibilities) * config.repeats
     seeds = np.random.SeedSequence(config.seed).generate_state(2 * n_scenarios)
@@ -135,7 +140,7 @@ def run_recovery_suite(config: RecoveryConfig = RecoveryConfig(),
     idx = 0
     for v in config.visibilities:
         beta_gt = beta_from_visibility(v)
-        fog = IntensityFogParams(beta_gt, config.a_intensity)
+        fog = IntensityFogParams(beta_gt, A_INTENSITY)
         for rep in range(config.repeats):
             scene_seed = int(seeds[2 * idx])
             image_rng = np.random.default_rng(int(seeds[2 * idx + 1]))
@@ -143,28 +148,29 @@ def run_recovery_suite(config: RecoveryConfig = RecoveryConfig(),
             graph, _truth = generate_scene(
                 config.scene, fog, None, replace(config.noise, seed=scene_seed))
             obs = generate_dr_pairs(graph, GammaMap.identity(), "gray",
-                                    config.estimator.thresholds)
+                                    estimator.thresholds)
             image = _scenario_image(image_rng, fog, config.noise.std)
-            a_orig = estimate_a_original(image, config.dark_radius)
-            a_mod = estimate_a_modified(image, config.dark_radius)
+            a_orig = estimate_a_original(image)
+            a_mod = estimate_a_modified(image)
 
             runs = (
-                ("ours", lambda: _run_ours(graph, config.estimator)),
+                ("ours", lambda: _run_ours(graph, estimator)),
                 ("ours-1stage", lambda: _run_ours(graph, one_stage)),
                 ("ours-uniform", lambda: _run_ours(graph, uniform)),
                 ("li-orig", lambda: (
-                    estimate_beta_histogram(obs, a_orig, unbounded)[0], a_orig)),
+                    estimate_beta_histogram(obs, a_orig)[0], a_orig)),
                 ("li-mod", lambda: (
-                    estimate_beta_histogram(obs, a_mod, bounded)[0], a_mod)),
+                    estimate_beta_histogram(obs, a_mod, HistogramConfig.bounded())[0],
+                    a_mod)),
             )
             for name, run in runs:
                 try:
                     beta_est, a_est = run()
                     rows.append(ScenarioRow(v, rep, name, beta_gt, beta_est,
-                                            config.a_intensity, a_est))
+                                            A_INTENSITY, a_est))
                 except DataError:
                     rows.append(ScenarioRow(v, rep, name, beta_gt, math.nan,
-                                            config.a_intensity, math.nan, failed=True))
+                                            A_INTENSITY, math.nan, failed=True))
 
     report = RecoveryReport(rows, _summarize(rows, config))
     if out_dir is not None:
@@ -207,30 +213,29 @@ def _summarize(rows: list[ScenarioRow],
 
 # --- bounded vs unbounded histogram demonstration ---------------------------
 
+# Near landmarks carry the real distance-intensity signal. Far landmarks are
+# seen from a close pass and a fog-opaque background position: their
+# quantized intensities differ by at most a level or two over a huge
+# distance baseline, so their pairwise estimates pile up around zero.
+_DEMO_NEAR = SceneSpec(n_landmarks=80, n_frames=6, value_range=(50.0, 70.0),
+                       start_distance_range=(25.0, 31.0), frame_spacing=4.0)
+_DEMO_FAR = SceneSpec(n_landmarks=30, n_frames=6, value_range=(50.0, 70.0),
+                      explicit_distances=np.tile((470.0, 450.0, 430.0, 62.0, 60.0, 58.0),
+                                                 (30, 1)))
+
+
 @dataclass(frozen=True)
 class HistogramDemoConfig:
-    """Scene with a fog-washed background that breaks the unbounded histogram.
+    """A scene with a fog-washed background that breaks the unbounded histogram.
 
-    Near landmarks carry the real distance-intensity signal. Far landmarks
-    are observed around ``far_distances`` (a close pass and a fog-opaque
-    background position): their quantized intensities differ by at most a
-    level or two over a huge distance baseline, so their pairwise estimates
-    pile up around zero. The atmospheric value handed to the pairwise
-    estimator is deliberately off by ``a_perturbation`` intensity levels,
-    emulating an upstream dark-channel error.
+    The atmospheric value handed to the pairwise estimator is deliberately
+    off by ``a_perturbation`` intensity levels, emulating an upstream
+    dark-channel error.
     """
     visibility: float = 30.0
-    a_intensity: float = 204.0
     a_perturbation: float = 4.0
     noise_std: float = 1.0
     seed: int = 0
-    n_near: int = 80
-    n_far: int = 30
-    value_range: tuple[float, float] = (50.0, 70.0)
-    near_start_range: tuple[float, float] = (25.0, 31.0)
-    near_spacing: float = 4.0
-    far_distances: tuple[float, ...] = (470.0, 450.0, 430.0, 62.0, 60.0, 58.0)
-    histogram: HistogramConfig = field(default_factory=HistogramConfig)
 
 
 @dataclass
@@ -256,30 +261,19 @@ def _merge_observations(first: ObservationSet, second: ObservationSet) -> Observ
 
 def run_histogram_demo(config: HistogramDemoConfig = HistogramDemoConfig()) -> HistogramDemoResult:
     beta_gt = beta_from_visibility(config.visibility)
-    fog = IntensityFogParams(beta_gt, config.a_intensity)
-    near = SceneSpec(n_landmarks=config.n_near, n_frames=6,
-                     value_range=config.value_range,
-                     start_distance_range=config.near_start_range,
-                     frame_spacing=config.near_spacing)
-    far = SceneSpec(n_landmarks=config.n_far, n_frames=len(config.far_distances),
-                    value_range=config.value_range,
-                    explicit_distances=np.tile(config.far_distances,
-                                               (config.n_far, 1)))
+    fog = IntensityFogParams(beta_gt, A_INTENSITY)
     seed_near, seed_far = np.random.SeedSequence(config.seed).generate_state(2)
-    graph_near, _ = generate_scene(near, fog, None, NoiseSpec(
+    graph_near, _ = generate_scene(_DEMO_NEAR, fog, None, NoiseSpec(
         std=config.noise_std, quantize=True, seed=int(seed_near)))
-    graph_far, _ = generate_scene(far, fog, None, NoiseSpec(
+    graph_far, _ = generate_scene(_DEMO_FAR, fog, None, NoiseSpec(
         std=config.noise_std, quantize=True, seed=int(seed_far)))
     obs = _merge_observations(
         generate_dr_pairs(graph_near, GammaMap.identity(), "gray"),
         generate_dr_pairs(graph_far, GammaMap.identity(), "gray"))
 
-    a_used = config.a_intensity + config.a_perturbation
-    unbounded = replace(config.histogram, beta_range=None)
-    bounded = replace(config.histogram,
-                      beta_range=HistogramConfig.bounded().beta_range)
-    beta_u, hist_u = estimate_beta_histogram(obs, a_used, unbounded)
-    beta_b, hist_b = estimate_beta_histogram(obs, a_used, bounded)
+    a_used = A_INTENSITY + config.a_perturbation
+    beta_u, hist_u = estimate_beta_histogram(obs, a_used)
+    beta_b, hist_b = estimate_beta_histogram(obs, a_used, HistogramConfig.bounded())
     return HistogramDemoResult(
         beta_gt=beta_gt, a_used=a_used,
         unbounded_beta=beta_u, bounded_beta=beta_b,

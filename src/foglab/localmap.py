@@ -204,13 +204,16 @@ def generate_dr_pairs(graph: LocalMapGraph, gmap: GammaMap | ChannelGammaMaps,
     Landmarks seen from fewer than ``thresholds.xi_f`` frames are dropped.
     Intensities are converted to radiances through the channel's gamma map;
     for color graphs the gray channel is the luma combination of r, g, b
-    taken before expansion.
+    taken before expansion. A gray graph has no other channel: asking it for
+    r, g or b raises ValueError.
     """
     if isinstance(gmap, ChannelGammaMaps):
         gmap = gmap.for_channel(channel)
     edges = graph.edges
     values = edges["intensity"]
     if graph.n_channels == 1:
+        if channel != "gray":
+            raise ValueError(f"channel {channel!r} needs a color map; this map is gray")
         intensity = values[:, 0]
     elif channel == "gray":
         w = LUMA_WEIGHTS

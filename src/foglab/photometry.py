@@ -156,10 +156,6 @@ class ChannelGammaMaps:
         m = GammaMap.identity()
         return cls(m, m, m, m)
 
-    @classmethod
-    def uniform(cls, gmap: GammaMap) -> "ChannelGammaMaps":
-        return cls(gmap, gmap, gmap, gmap)
-
     def for_channel(self, channel: str) -> GammaMap:
         if channel not in CHANNEL_NAMES:
             raise ValueError(f"unknown channel {channel!r}; expected one of {CHANNEL_NAMES}")

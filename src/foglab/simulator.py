@@ -17,10 +17,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError
-from .estimator import EstimatorConfig, EstimatorState, estimate
+from .estimator import EstimatorState, estimate
 from .localmap import LocalMapGraph, ObservationSet
 from .photometry import ChannelGammaMaps, GammaMap, compress, expand
-from .scattering import FogParams, IntensityFogParams, predict_radiance, synthesize_fog_pixel
+from .scattering import FogParams, IntensityFogParams, predict_radiance
 
 
 @dataclass(frozen=True)
@@ -82,63 +82,30 @@ class GroundTruth:
     domain: str                        # "radiance" | "intensity"
 
 
-def _scene_rngs(seed) -> tuple[np.random.Generator, ...]:
-    children = np.random.SeedSequence(seed).spawn(3)
-    return tuple(np.random.default_rng(c) for c in children)
-
-
-def _distances(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
+def _sample(spec: SceneSpec, fog: FogParams, gmap: GammaMap, noise: NoiseSpec,
+            spawn_key: tuple[int, ...] = ()):
+    """Draw one scene as (n_landmarks, n_frames) distances, radiances and
+    intensities, plus the clear radiance of each landmark. Radiance-domain
+    noise stays in the radiances; the intensities carry every corruption.
+    The draws come from ``noise.seed``, spawned by ``spawn_key`` per trial."""
+    seq = np.random.SeedSequence(noise.seed, spawn_key=spawn_key)
+    rng_vals, rng_dist, rng_noise = (np.random.default_rng(c) for c in seq.spawn(3))
     if spec.explicit_distances is not None:
-        return np.asarray(spec.explicit_distances, dtype=float)
-    starts = rng.uniform(*spec.start_distance_range, size=spec.n_landmarks)
-    steps = np.arange(spec.n_frames) * spec.frame_spacing
-    return starts[:, None] - steps[None, :]
-
-
-def generate_scene(spec: SceneSpec, fog, gmap: GammaMap | ChannelGammaMaps | None,
-                   noise: NoiseSpec) -> tuple[LocalMapGraph, GroundTruth]:
-    """Simulate one scene as a gray local map graph plus its ground truth.
-
-    ``fog`` in the radiance domain (:class:`FogParams`) draws clear radiances,
-    predicts apparent radiances and compresses them through ``gmap``; in the
-    intensity domain (:class:`IntensityFogParams`) the linear intensity model
-    is used directly and ``gmap`` is ignored.
-    """
-    rng_vals, rng_dist, rng_noise = _scene_rngs(noise.seed)
-    d = _distances(spec, rng_dist)
-
-    if isinstance(fog, FogParams):
-        if isinstance(gmap, ChannelGammaMaps):
-            gmap = gmap.gray
-        if gmap is None:
-            raise ValueError("radiance-domain scenes need a gamma map")
-        if spec.value_range is not None:
-            lo, hi = spec.value_range
-        else:
-            lo, hi = expand(gmap, 20.0), expand(gmap, 235.0)
-        clear = rng_vals.uniform(lo, hi, size=spec.n_landmarks)
-        radiance = predict_radiance(clear[:, None], fog, d)
-        if noise.domain == "radiance":
-            radiance = radiance + noise.std * rng_noise.standard_normal(d.shape)
-        intensity = compress(gmap, radiance, clamp=True)
-        if noise.domain == "intensity":
-            intensity = intensity + noise.std * rng_noise.standard_normal(d.shape)
-        truth = GroundTruth(fog.beta, fog.l_inf,
-                            {n: float(clear[n]) for n in range(spec.n_landmarks)},
-                            "radiance")
-    elif isinstance(fog, IntensityFogParams):
-        if noise.domain != "intensity":
-            raise ValueError("intensity-domain scenes take intensity-domain noise")
-        lo, hi = spec.value_range if spec.value_range is not None else (20.0, 235.0)
-        clear = rng_vals.uniform(lo, hi, size=spec.n_landmarks)
-        intensity = synthesize_fog_pixel(clear[:, None], fog, d)
-        intensity = intensity + noise.std * rng_noise.standard_normal(d.shape)
-        truth = GroundTruth(fog.beta, fog.a,
-                            {n: float(clear[n]) for n in range(spec.n_landmarks)},
-                            "intensity")
+        d = np.asarray(spec.explicit_distances, dtype=float)
     else:
-        raise ValueError("fog must be FogParams or IntensityFogParams")
-
+        starts = rng_dist.uniform(*spec.start_distance_range, size=spec.n_landmarks)
+        d = starts[:, None] - (np.arange(spec.n_frames) * spec.frame_spacing)[None, :]
+    if spec.value_range is not None:
+        lo, hi = spec.value_range
+    else:
+        lo, hi = expand(gmap, 20.0), expand(gmap, 235.0)
+    clear = rng_vals.uniform(lo, hi, size=spec.n_landmarks)
+    radiance = predict_radiance(clear[:, None], fog, d)
+    if noise.domain == "radiance":
+        radiance = radiance + noise.std * rng_noise.standard_normal(d.shape)
+    intensity = compress(gmap, radiance, clamp=True)
+    if noise.domain == "intensity":
+        intensity = intensity + noise.std * rng_noise.standard_normal(d.shape)
     if noise.outlier_fraction > 0:
         hit = rng_noise.random(d.shape) < noise.outlier_fraction
         intensity = intensity + hit * noise.outlier_std * rng_noise.standard_normal(d.shape)
@@ -150,7 +117,39 @@ def generate_scene(spec: SceneSpec, fog, gmap: GammaMap | ChannelGammaMaps | Non
     intensity = np.clip(intensity, 0.0, 255.0)
     if noise.quantize:
         intensity = np.rint(intensity)
+    return d, clear, radiance, intensity
 
+
+def generate_scene(spec: SceneSpec, fog, gmap: GammaMap | ChannelGammaMaps | None,
+                   noise: NoiseSpec) -> tuple[LocalMapGraph, GroundTruth]:
+    """Simulate one scene as a gray local map graph plus its ground truth.
+
+    ``fog`` in the radiance domain (:class:`FogParams`) draws clear radiances,
+    predicts apparent radiances and compresses them through ``gmap``. In the
+    intensity domain (:class:`IntensityFogParams`) ``gmap`` is ignored: the
+    scene is the radiance scene of ``FogParams(beta, a)`` under the identity
+    map, whose radiances are intensities, so both give the same edges; only
+    the ground truth's domain differs.
+    """
+    if isinstance(fog, IntensityFogParams):
+        if noise.domain != "intensity":
+            raise ValueError("intensity-domain scenes take intensity-domain noise")
+        if spec.value_range is not None and \
+                not all(0.0 <= v <= 255.0 for v in spec.value_range):
+            raise ValueError("clear intensities must lie in [0, 255]")
+        fog, gmap, domain = FogParams(fog.beta, fog.a), GammaMap.identity(), "intensity"
+    elif isinstance(fog, FogParams):
+        if isinstance(gmap, ChannelGammaMaps):
+            gmap = gmap.gray
+        if gmap is None:
+            raise ValueError("radiance-domain scenes need a gamma map")
+        domain = "radiance"
+    else:
+        raise ValueError("fog must be FogParams or IntensityFogParams")
+
+    d, clear, _, intensity = _sample(spec, fog, gmap, noise)
+    truth = GroundTruth(fog.beta, fog.l_inf,
+                        {n: float(clear[n]) for n in range(spec.n_landmarks)}, domain)
     landmark, frame = np.indices(d.shape).reshape(2, -1)
     graph = LocalMapGraph.from_edges(
         frame, landmark, d.ravel(), intensity.reshape(-1, 1),
@@ -172,12 +171,13 @@ class GammaBiasResult:
         return np.array([p[1] for p in self.pairs])
 
 
+# atmospheric intensity a of the gamma-bias scene
+GAMMA_BIAS_A_INTENSITY = 178.5
+
+
 def gamma_bias_experiment(trials: int, beta_gt: float, gmap: GammaMap,
                           noise: NoiseSpec = NoiseSpec(std=1.0, domain="radiance",
-                                                       quantize=False),
-                          config: EstimatorConfig = EstimatorConfig(),
-                          spec: Optional[SceneSpec] = None,
-                          a_intensity: float = 178.5) -> GammaBiasResult:
+                                                       quantize=False)) -> GammaBiasResult:
     """Estimate beta per trial from radiance data and from the same data
     expressed as intensities, ignoring the camera response.
 
@@ -189,42 +189,26 @@ def gamma_bias_experiment(trials: int, beta_gt: float, gmap: GammaMap,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if spec is None:
-        # dark landmarks against bright fog: the high-contrast regime where
-        # the response nonlinearity matters most
-        spec = SceneSpec(n_landmarks=15, n_frames=6,
-                         value_range=(expand(gmap, 20.0), expand(gmap, 120.0)),
-                         start_distance_range=(60.0, 110.0), frame_spacing=10.0)
-    fog = FogParams(beta_gt, expand(gmap, a_intensity))
-    lo, hi = spec.value_range if spec.value_range is not None else (
-        expand(gmap, 20.0), expand(gmap, 235.0))
+    # dark landmarks against bright fog: the high-contrast regime where the
+    # response nonlinearity matters most
+    spec = SceneSpec(n_landmarks=15, n_frames=6,
+                     value_range=(expand(gmap, 20.0), expand(gmap, 120.0)),
+                     start_distance_range=(60.0, 110.0), frame_spacing=10.0)
+    fog = FogParams(beta_gt, expand(gmap, GAMMA_BIAS_A_INTENSITY))
 
     identity = GammaMap.identity()
     landmark, frame = np.indices((spec.n_landmarks, spec.n_frames)).reshape(2, -1)
     pairs: list[tuple[float, float]] = []
     failures = 0
     for t in range(trials):
-        seq = np.random.SeedSequence(entropy=noise.seed, spawn_key=(t,))
-        rng_vals, rng_dist, rng_noise = (np.random.default_rng(c) for c in seq.spawn(3))
-        d = _distances(spec, rng_dist)
-        clear = rng_vals.uniform(lo, hi, size=spec.n_landmarks)
-        radiance = predict_radiance(clear[:, None], fog, d)
-        if noise.domain == "radiance":
-            radiance = radiance + noise.std * rng_noise.standard_normal(d.shape)
-            intensity = compress(gmap, radiance, clamp=True)
-        else:
-            intensity = compress(gmap, radiance, clamp=True)
-            intensity = np.clip(
-                intensity + noise.std * rng_noise.standard_normal(d.shape), 0.0, 255.0)
-        if noise.quantize:
-            intensity = np.rint(intensity)
+        d, _, radiance, intensity = _sample(spec, fog, gmap, noise, (t,))
         try:
             b_rad = estimate(
                 ObservationSet.from_columns(frame, landmark, d.ravel(), radiance.ravel()),
-                gmap, EstimatorState(), config).estimate.beta
+                gmap, EstimatorState()).estimate.beta
             b_int = estimate(
                 ObservationSet.from_columns(frame, landmark, d.ravel(), intensity.ravel()),
-                identity, EstimatorState(), config).estimate.beta
+                identity, EstimatorState()).estimate.beta
         except DataError:
             failures += 1
             continue

@@ -125,6 +125,14 @@ def test_fit_gamma_requires_gray(tmp_path, capsys):
     assert "gray" in capsys.readouterr().err
 
 
+def test_fit_gamma_names_a_row_without_power(tmp_path, capsys):
+    csv_path = tmp_path / "calib.csv"
+    csv_path.write_text("channel,intensity,power\ngray,10,1\ngray,20\ngray,30,3\n")
+    assert run("fit-gamma", "--csv", csv_path, "--out", tmp_path / "o.gamma") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: csv line 3: power must be a number")
+
+
 def test_synthesize_fog_command(tmp_path):
     clear = np.full((8, 10), 100, dtype=np.uint8)
     dist = np.full((8, 10), 50.0, dtype=np.float32)
@@ -156,6 +164,13 @@ def test_metrics_missing_truth_fails(tmp_path, capsys):
     csv_path.write_text("estimate\n11.0\n")
     assert run("metrics", "--csv", csv_path) == 1
     assert "--truth" in capsys.readouterr().err
+
+
+def test_metrics_names_a_short_row(tmp_path, capsys):
+    csv_path = tmp_path / "est.csv"
+    csv_path.write_text("estimate,truth\n11.0,10.0\n9.0\n")
+    assert run("metrics", "--csv", csv_path) == 1
+    assert capsys.readouterr().err.startswith("error: csv line 3: truth must be a number")
 
 
 def test_metrics_missing_estimate_column_fails(tmp_path, capsys):
@@ -210,7 +225,10 @@ def test_simulate_with_json_config(tmp_path):
     ({"n_landmark": 17}, "'n_landmark'"),
     ({"noise": {"sdt": 1.0}}, "'sdt'"),
     ([17], "scene config must be a JSON object"),
-    ({"noise": 1.0}, "noise config: ")])
+    ({"noise": 1.0}, "noise config: "),
+    ({"n_landmarks": "20"}, "'n_landmarks' takes an integer"),
+    ({"start_distance_range": 5}, "'start_distance_range' takes a list of 2 numbers"),
+    ({"n_frames": 2.5}, "'n_frames' takes an integer")])
 def test_simulate_rejects_bad_config(tmp_path, capsys, config, named):
     cfg = tmp_path / "scene.json"
     cfg.write_text(json.dumps(config))

@@ -317,16 +317,6 @@ def test_config_validation():
         EstimatorConfig(eta=-1.0)
 
 
-def test_state_clone_is_deep():
-    state = EstimatorState(previous=FogEstimate(0.02, 200.0, {0: 50.0}),
-                           inlier_counts={(0, 0): 2}, last_update_position=7.0)
-    copy = state.clone()
-    copy.previous.lc[0] = 99.0
-    copy.inlier_counts[(0, 0)] = 5
-    assert state.previous.lc[0] == 50.0
-    assert state.inlier_counts[(0, 0)] == 2
-
-
 # --- estimate records -------------------------------------------------------------
 
 def test_record_round_trip():

@@ -45,6 +45,14 @@ def test_recovery_is_reproducible():
     assert r1.rows == r2.rows
 
 
+def test_recovery_config_validation():
+    for repeats in (0, -1):
+        with pytest.raises(ValueError, match="repeats"):
+            RecoveryConfig(repeats=repeats)
+    with pytest.raises(ValueError, match="visibility"):
+        RecoveryConfig(visibilities=())
+
+
 def test_sequential_runner_needs_enough_frames():
     graph, _ = generate_scene(
         SceneSpec(n_landmarks=20, n_frames=3, start_distance_range=(40.0, 90.0)),

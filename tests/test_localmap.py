@@ -103,6 +103,13 @@ def test_color_graph_channels_and_luma():
     assert luma == pytest.approx(0.299 * 100.0 + 0.587 * 200.0 + 0.114 * 50.0)
 
 
+def test_gray_graph_has_no_color_channels():
+    g = graph_of([(m, 0, 10.0 + m, [100.0]) for m in range(4)])
+    for channel in ("r", "g", "b"):
+        with pytest.raises(ValueError, match="gray"):
+            generate_dr_pairs(g, ChannelGammaMaps.identity(), channel)
+
+
 def test_check_sufficiency_threshold():
     def obs_with(k):
         return ObservationSet({n: (Observation(0, 1.0, 1.0),) for n in range(k)})

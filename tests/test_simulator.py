@@ -1,15 +1,13 @@
 """Synthetic scene generation and the response-bias experiment."""
 
-import inspect
-
 import numpy as np
 import pytest
 
 from foglab.photometry import GammaMap
 from foglab.scattering import (FogParams, IntensityFogParams,
                                synthesize_fog_pixel)
-from foglab.simulator import (GroundTruth, NoiseSpec, SceneSpec,
-                              gamma_bias_experiment, generate_scene)
+from foglab.simulator import (GAMMA_BIAS_A_INTENSITY, GroundTruth, NoiseSpec,
+                              SceneSpec, gamma_bias_experiment, generate_scene)
 
 IDENT = GammaMap.identity()
 CLEAN = NoiseSpec(std=0.0, quantize=False)
@@ -101,6 +99,19 @@ def test_intensity_domain_scene():
     assert edge_matrix(graph, spec) == pytest.approx(expected, abs=1e-9)
 
 
+@pytest.mark.parametrize("noise", [
+    NoiseSpec(std=2.0, seed=4),
+    NoiseSpec(std=1.0, seed=5, quantize=False, outlier_fraction=0.3, outlier_std=40.0,
+              offmodel_fraction=0.25, offmodel_bias_std=20.0)])
+def test_intensity_fog_is_radiance_fog_under_the_identity_map(noise):
+    spec = SceneSpec(n_landmarks=12, n_frames=5)
+    g_int, t_int = generate_scene(spec, IntensityFogParams(0.03, 204.0), None, noise)
+    g_rad, t_rad = generate_scene(spec, FogParams(0.03, 204.0), IDENT, noise)
+    assert np.array_equal(g_int.edges, g_rad.edges)
+    assert t_int.clear == t_rad.clear and t_int.atmospheric == t_rad.atmospheric
+    assert (t_int.domain, t_rad.domain) == ("intensity", "radiance")
+
+
 def test_radiance_domain_noise_is_applied_before_compression():
     spec = SceneSpec(n_landmarks=6, n_frames=4, value_range=(40.0, 90.0))
     gmap = GammaMap(alpha=0.01, gamma=2.0, zeta=0.0)
@@ -170,6 +181,9 @@ def test_scene_input_validation():
     with pytest.raises(ValueError, match="intensity-domain"):
         generate_scene(spec, IntensityFogParams(0.05, 200.0), None,
                        NoiseSpec(domain="radiance"))
+    with pytest.raises(ValueError, match="clear intensities"):
+        generate_scene(SceneSpec(n_landmarks=2, n_frames=2, value_range=(200.0, 300.0)),
+                       IntensityFogParams(0.05, 200.0), None, CLEAN)
     with pytest.raises(ValueError, match="fog"):
         generate_scene(spec, "fog", IDENT, CLEAN)
 
@@ -203,8 +217,7 @@ def test_gamma_bias_nonlinear_map_shifts_beta():
 def test_gamma_bias_validation_and_defaults():
     with pytest.raises(ValueError):
         gamma_bias_experiment(trials=0, beta_gt=0.025, gmap=IDENT)
-    sig = inspect.signature(gamma_bias_experiment)
-    assert sig.parameters["a_intensity"].default == 178.5
+    assert GAMMA_BIAS_A_INTENSITY == 178.5
 
 
 def test_ground_truth_records_domain():
