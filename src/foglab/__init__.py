@@ -11,7 +11,6 @@ from .errors import (DataError, DegenerateDataError, MapFormatError,
 from .estimator import (EstimatorConfig, EstimatorState, FogEstimate,
                         derive_bounds, estimate, should_update)
 from .localmap import (LocalMapGraph, Observation, ObservationSet,
-                       SelectionThresholds, check_sufficiency,
                        generate_dr_pairs, load_map, save_map)
 from .metrics import MetricsReport, compute_metrics
 from .optimizer import ResidualProblem, SolveOptions, SolveReport, solve

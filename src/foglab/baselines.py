@@ -21,9 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotEnoughDataError
+from .estimator import DEFAULT_BETA_BOUNDS
 from .localmap import ObservationSet
-
-DEFAULT_BETA_RANGE = (0.001, 0.2)
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class HistogramConfig:
 
     @classmethod
     def bounded(cls) -> "HistogramConfig":
-        return cls(beta_range=DEFAULT_BETA_RANGE)
+        return cls(beta_range=DEFAULT_BETA_BOUNDS)
 
 
 def _min_filter(a: np.ndarray, radius: int) -> np.ndarray:

@@ -17,12 +17,12 @@ import numpy as np
 
 from . import baselines, harness, simulator
 from .errors import DataError, NotEnoughDataError
-from .estimator import (EstimatorConfig, EstimatorState, estimate,
+from .estimator import (DEFAULT_BETA_BOUNDS, EstimatorConfig, EstimatorState, estimate,
                         format_estimate_record, should_update)
-from .localmap import SelectionThresholds, generate_dr_pairs, load_map, save_map
+from .localmap import generate_dr_pairs, load_map, save_map
 from .metrics import compute_metrics
-from .photometry import (CalibrationSeries, ChannelGammaMaps, GammaMap,
-                         fit_gamma_map, load_gamma_file, save_gamma_file)
+from .photometry import (CHANNEL_NAMES, CalibrationSeries, ChannelGammaMaps, GammaMap,
+                         check_channel, fit_gamma_map, load_gamma_file, save_gamma_file)
 from .rasters import read_distance_map, read_image, write_image
 from .scattering import (IntensityFogParams, beta_from_visibility,
                          quantize_to_u8, synthesize_fog_image, visibility_from_beta)
@@ -42,15 +42,17 @@ def _fog_beta(args) -> float:
 
 
 def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
+    default = EstimatorConfig()
     p.add_argument("--gamma", default="identity", help="gamma map file or 'identity'")
-    p.add_argument("--channel", default="gray", choices=("gray", "r", "g", "b"))
-    p.add_argument("--xi-f", type=int, default=4, help="min frames per landmark")
-    p.add_argument("--xi-k", type=int, default=15, help="min qualifying landmarks")
-    p.add_argument("--eta", type=float, default=2.0)
-    p.add_argument("--delta", type=float, default=5.0)
-    p.add_argument("--beta-min", type=float, default=0.001)
-    p.add_argument("--beta-max", type=float, default=0.2)
-    p.add_argument("--update-gate", type=float, default=5.0)
+    p.add_argument("--channel", default="gray", choices=CHANNEL_NAMES)
+    p.add_argument("--xi-f", type=int, default=default.xi_f, help="min frames per landmark")
+    p.add_argument("--xi-k", type=int, default=default.xi_k,
+                   help="min qualifying landmarks")
+    p.add_argument("--eta", type=float, default=default.eta)
+    p.add_argument("--delta", type=float, default=default.delta)
+    p.add_argument("--beta-min", type=float, default=default.beta_bounds[0])
+    p.add_argument("--beta-max", type=float, default=default.beta_bounds[1])
+    p.add_argument("--update-gate", type=float, default=default.update_gate)
     p.add_argument("--one-stage", action="store_true")
     p.add_argument("--uniform-weights", action="store_true")
 
@@ -128,8 +130,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    maps = _load_gamma(args.gamma)
     config = _estimator_config(args)
+    gmap = _load_gamma(args.gamma).for_channel(args.channel)
     state = EstimatorState()
     out = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
     try:
@@ -143,8 +145,8 @@ def _cmd_estimate(args) -> int:
                 print(f"# frame={latest} skipped: moved less than "
                       f"{config.update_gate} m since last update", file=out)
                 continue
-            obs = generate_dr_pairs(graph, maps, args.channel, config.thresholds)
-            result = estimate(obs, maps.for_channel(args.channel), state, config)
+            obs = generate_dr_pairs(graph, gmap, args.channel, config.xi_f)
+            result = estimate(obs, gmap, state, config)
             if position is not None:
                 state.last_update_position = position
             print(format_estimate_record(latest, args.channel, result), file=out)
@@ -168,11 +170,10 @@ def _cmd_baseline(args) -> int:
     if a is None:
         raise DataError("beta baseline needs --a or --image for the atmospheric light")
     graph = load_map(args.map)
-    obs = generate_dr_pairs(graph, _load_gamma("identity"), "gray",
-                            SelectionThresholds(xi_f=2, xi_k=1))
+    obs = generate_dr_pairs(graph, GammaMap.identity(), "gray", xi_f=2)
     config = baselines.HistogramConfig(
         bin_width=args.bin_width, min_inverse_depth_gap=args.tau,
-        beta_range=baselines.DEFAULT_BETA_RANGE if args.bounded else None)
+        beta_range=DEFAULT_BETA_BOUNDS if args.bounded else None)
     beta, (centers, counts) = baselines.estimate_beta_histogram(obs, a, config)
     if args.hist_out:
         baselines.dump_histogram(args.hist_out, centers, counts)
@@ -188,7 +189,10 @@ def _cmd_fit_gamma(args) -> int:
                 not {"channel", "intensity", "power"} <= set(reader.fieldnames):
             raise DataError("calibration csv needs channel,intensity,power columns")
         for rec in reader:
-            chan = series.setdefault(rec["channel"], ([], []))
+            try:
+                chan = series.setdefault(check_channel(rec["channel"]), ([], []))
+            except ValueError as exc:
+                raise DataError(f"csv line {reader.line_num}: {exc}") from None
             chan[0].append(_csv_number(reader, rec, "intensity"))
             chan[1].append(_csv_number(reader, rec, "power"))
     fitted: dict[str, GammaMap] = {}
@@ -197,12 +201,7 @@ def _cmd_fit_gamma(args) -> int:
         fitted[name] = gmap
         print(f"{name}: alpha={gmap.alpha:.6g} gamma={gmap.gamma:.6g} "
               f"zeta={gmap.zeta:.6g} residual={resid:.3g}")
-    if "gray" not in fitted:
-        raise DataError("calibration csv must include the gray channel")
-    gray = fitted["gray"]
-    maps = ChannelGammaMaps(gray, fitted.get("r", gray),
-                            fitted.get("g", gray), fitted.get("b", gray))
-    save_gamma_file(maps, args.out)
+    save_gamma_file(ChannelGammaMaps.from_dict(fitted), args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateDataError, MapFormatError, NotEnoughDataError
-from .localmap import ObservationSet, SelectionThresholds, check_sufficiency
+from .localmap import ObservationSet
 from .optimizer import ResidualProblem, SolveReport, solve
 from .photometry import GammaMap, compress, expand
 from .scattering import visibility_from_beta
@@ -36,8 +36,8 @@ DEFAULT_BETA_INIT = 0.014
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    xi_f: int = 4
-    xi_k: int = 15
+    xi_f: int = 4                       # min frames per landmark
+    xi_k: int = 15                      # min qualifying landmarks per estimate
     eta: float = 2.0                    # intensity-per-meter slope threshold
     delta: float = 5.0                  # Huber width, in intensity levels
     beta_bounds: tuple[float, float] = DEFAULT_BETA_BOUNDS
@@ -46,16 +46,16 @@ class EstimatorConfig:
     uniform_weights: bool = False
 
     def __post_init__(self):
+        if self.xi_f < 2:
+            raise ValueError("xi_f must be at least 2")
+        if self.xi_k < 1:
+            raise ValueError("xi_k must be at least 1")
         if not (0 < self.beta_bounds[0] < self.beta_bounds[1]):
             raise ValueError("beta bounds must satisfy 0 < lower < upper")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
-
-    @property
-    def thresholds(self) -> SelectionThresholds:
-        return SelectionThresholds(self.xi_f, self.xi_k)
 
 
 @dataclass
@@ -230,7 +230,7 @@ def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
     Inlier counts of frames outside ``obs`` are dropped from ``state``.
     """
     ids = obs.landmark_ids
-    if not check_sufficiency(obs, config.thresholds):
+    if len(ids) < config.xi_k:
         raise NotEnoughDataError(
             f"{len(ids)} qualifying landmarks, xi_k={config.xi_k} required")
     if np.all(obs.distance[obs.far] == obs.distance[obs.near]):
@@ -291,7 +291,8 @@ RECORD_FIELDS = ("frame", "channel", "beta", "l_inf", "visibility",
 
 
 def format_estimate_record(frame: int, channel: str, result: EstimateResult) -> str:
-    """One key=value line per update, consumed by the harness."""
+    """One key=value line per update, as ``foglab estimate`` writes it;
+    :func:`parse_estimate_record` reads it back."""
     est = result.estimate
     s2 = result.stage2.cost if result.stage2 is not None else math.nan
     vals = (frame, channel, est.beta, est.l_inf, est.visibility,

@@ -122,7 +122,7 @@ def _run_ours(graph, config: EstimatorConfig):
     res = None
     for upto in range(config.xi_f, len(frame_ids) + 1):
         obs = generate_dr_pairs(graph.frame_subset(frame_ids[:upto]),
-                                GammaMap.identity(), "gray", config.thresholds)
+                                GammaMap.identity(), "gray", config.xi_f)
         res = estimate(obs, GammaMap.identity(), state, config)
     return res.estimate.beta, res.estimate.l_inf
 
@@ -147,8 +147,7 @@ def run_recovery_suite(config: RecoveryConfig = RecoveryConfig(),
             idx += 1
             graph, _truth = generate_scene(
                 config.scene, fog, None, replace(config.noise, seed=scene_seed))
-            obs = generate_dr_pairs(graph, GammaMap.identity(), "gray",
-                                    estimator.thresholds)
+            obs = generate_dr_pairs(graph, GammaMap.identity(), "gray", estimator.xi_f)
             image = _scenario_image(image_rng, fog, config.noise.std)
             a_orig = estimate_a_original(image)
             a_mod = estimate_a_modified(image)

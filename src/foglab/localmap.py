@@ -3,8 +3,8 @@
 Each edge records one sighting of a landmark from a frame: the distance in
 meters and the observed 8-bit intensities (1 value for gray maps, 3 for
 color). From a graph we derive per-landmark distance-radiance observation
-sets: landmarks seen from at least ``xi_f`` frames qualify, and an estimate
-is attempted only when at least ``xi_k`` landmarks qualify.
+sets of one channel; only landmarks seen from at least ``xi_f`` frames
+qualify.
 
 The serialized form is line oriented (see docs/file_formats.md):
 
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MapFormatError
-from .photometry import ChannelGammaMaps, GammaMap, expand
+from .photometry import CHANNEL_NAMES, GammaMap, check_channel, expand
 from .scattering import LUMA_WEIGHTS
 
 
@@ -30,20 +30,6 @@ class Observation(NamedTuple):
     frame: int
     distance: float
     radiance: float
-
-
-@dataclass(frozen=True)
-class SelectionThresholds:
-    """Minimum frames per landmark (xi_f) and landmarks per estimate (xi_k)."""
-
-    xi_f: int = 4
-    xi_k: int = 15
-
-    def __post_init__(self):
-        if self.xi_f < 2:
-            raise ValueError("xi_f must be at least 2")
-        if self.xi_k < 1:
-            raise ValueError("xi_k must be at least 1")
 
 
 def _edge_dtype(n_channels: int) -> np.dtype:
@@ -196,40 +182,32 @@ class ObservationSet:
                 zip(self.landmark_ids, self.near.tolist(), self.far.tolist())}
 
 
-def generate_dr_pairs(graph: LocalMapGraph, gmap: GammaMap | ChannelGammaMaps,
-                      channel: str = "gray",
-                      thresholds: SelectionThresholds = SelectionThresholds()) -> ObservationSet:
+def generate_dr_pairs(graph: LocalMapGraph, gmap: GammaMap, channel: str = "gray",
+                      xi_f: int = 4) -> ObservationSet:
     """Expand one channel of the graph into per-landmark (d, L) observations.
 
-    Landmarks seen from fewer than ``thresholds.xi_f`` frames are dropped.
-    Intensities are converted to radiances through the channel's gamma map;
-    for color graphs the gray channel is the luma combination of r, g, b
-    taken before expansion. A gray graph has no other channel: asking it for
-    r, g or b raises ValueError.
+    Landmarks seen from fewer than ``xi_f`` frames are dropped. Intensities
+    are converted to radiances through ``gmap``, the channel's gamma map; for
+    color graphs the gray channel is the luma combination of r, g, b taken
+    before expansion. A gray graph has no other channel: asking it for r, g
+    or b raises ValueError, as does a name not in ``CHANNEL_NAMES``.
     """
-    if isinstance(gmap, ChannelGammaMaps):
-        gmap = gmap.for_channel(channel)
+    position = CHANNEL_NAMES.index(check_channel(channel))
     edges = graph.edges
     values = edges["intensity"]
     if graph.n_channels == 1:
-        if channel != "gray":
+        if position:
             raise ValueError(f"channel {channel!r} needs a color map; this map is gray")
         intensity = values[:, 0]
-    elif channel == "gray":
+    elif position == 0:
         w = LUMA_WEIGHTS
         intensity = w[0] * values[:, 0] + w[1] * values[:, 1] + w[2] * values[:, 2]
     else:
-        intensity = values[:, {"r": 0, "g": 1, "b": 2}[channel]]
+        intensity = values[:, position - 1]
     _, slot, counts = np.unique(edges["landmark"], return_inverse=True, return_counts=True)
-    keep = counts[slot] >= thresholds.xi_f
+    keep = counts[slot] >= xi_f
     return ObservationSet.from_columns(edges["frame"][keep], edges["landmark"][keep],
                                        edges["distance"][keep], expand(gmap, intensity[keep]))
-
-
-def check_sufficiency(obs: ObservationSet,
-                      thresholds: SelectionThresholds = SelectionThresholds()) -> bool:
-    """True when enough landmarks qualify for a joint estimate."""
-    return len(obs.landmark_ids) >= thresholds.xi_k
 
 
 def save_map(graph: LocalMapGraph, path) -> None:

@@ -17,10 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, MapFormatError
+from .errors import DataError, DegenerateDataError, MapFormatError
 
 GAMMA_SEARCH_RANGE = (0.2, 5.0)
+# gray first, then the color channels in the order a color map stores them
 CHANNEL_NAMES = ("gray", "r", "g", "b")
+
+
+def check_channel(channel: str) -> str:
+    """``channel`` if it is one of :data:`CHANNEL_NAMES`; ValueError otherwise."""
+    if channel not in CHANNEL_NAMES:
+        raise ValueError(f"unknown channel {channel!r}; expected one of {CHANNEL_NAMES}")
+    return channel
 
 
 @dataclass(frozen=True)
@@ -152,14 +160,15 @@ class ChannelGammaMaps:
     b: GammaMap
 
     @classmethod
-    def identity(cls) -> "ChannelGammaMaps":
-        m = GammaMap.identity()
-        return cls(m, m, m, m)
+    def from_dict(cls, maps: dict[str, GammaMap]) -> "ChannelGammaMaps":
+        """Maps by channel name: gray is required and a missing color falls
+        back to gray."""
+        if "gray" not in maps:
+            raise DataError("the gray channel is required; other channels fall back to it")
+        return cls(*(maps.get(name, maps["gray"]) for name in CHANNEL_NAMES))
 
     def for_channel(self, channel: str) -> GammaMap:
-        if channel not in CHANNEL_NAMES:
-            raise ValueError(f"unknown channel {channel!r}; expected one of {CHANNEL_NAMES}")
-        return getattr(self, channel)
+        return getattr(self, check_channel(channel))
 
 
 def save_gamma_file(maps: ChannelGammaMaps, path) -> None:
@@ -173,7 +182,8 @@ def save_gamma_file(maps: ChannelGammaMaps, path) -> None:
 
 
 def load_gamma_file(path) -> ChannelGammaMaps:
-    """Read a gamma map file; channels other than gray default to gray."""
+    """Read a gamma map file; channels other than gray default to gray
+    (:meth:`ChannelGammaMaps.from_dict`)."""
     found: dict[str, GammaMap] = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -184,17 +194,11 @@ def load_gamma_file(path) -> ChannelGammaMaps:
             if len(parts) != 4:
                 raise MapFormatError("expected: channel alpha gamma zeta", lineno)
             name = parts[0]
-            if name not in CHANNEL_NAMES:
-                raise MapFormatError(f"unknown channel {name!r}", lineno)
             if name in found:
                 raise MapFormatError(f"duplicate channel {name!r}", lineno)
             try:
                 alpha, gamma, zeta = (float(x) for x in parts[1:])
-                found[name] = GammaMap(alpha, gamma, zeta)
+                found[check_channel(name)] = GammaMap(alpha, gamma, zeta)
             except ValueError as exc:
                 raise MapFormatError(str(exc), lineno) from exc
-    if "gray" not in found:
-        raise MapFormatError("gamma file must define the gray channel")
-    gray = found["gray"]
-    return ChannelGammaMaps(gray, found.get("r", gray),
-                            found.get("g", gray), found.get("b", gray))
+    return ChannelGammaMaps.from_dict(found)

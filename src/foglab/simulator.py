@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DataError
 from .estimator import EstimatorState, estimate
 from .localmap import LocalMapGraph, ObservationSet
-from .photometry import ChannelGammaMaps, GammaMap, compress, expand
+from .photometry import GammaMap, compress, expand
 from .scattering import FogParams, IntensityFogParams, predict_radiance
 
 
@@ -120,7 +120,7 @@ def _sample(spec: SceneSpec, fog: FogParams, gmap: GammaMap, noise: NoiseSpec,
     return d, clear, radiance, intensity
 
 
-def generate_scene(spec: SceneSpec, fog, gmap: GammaMap | ChannelGammaMaps | None,
+def generate_scene(spec: SceneSpec, fog, gmap: GammaMap | None,
                    noise: NoiseSpec) -> tuple[LocalMapGraph, GroundTruth]:
     """Simulate one scene as a gray local map graph plus its ground truth.
 
@@ -139,8 +139,6 @@ def generate_scene(spec: SceneSpec, fog, gmap: GammaMap | ChannelGammaMaps | Non
             raise ValueError("clear intensities must lie in [0, 255]")
         fog, gmap, domain = FogParams(fog.beta, fog.a), GammaMap.identity(), "intensity"
     elif isinstance(fog, FogParams):
-        if isinstance(gmap, ChannelGammaMaps):
-            gmap = gmap.gray
         if gmap is None:
             raise ValueError("radiance-domain scenes need a gamma map")
         domain = "radiance"

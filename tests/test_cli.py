@@ -7,10 +7,14 @@ import pytest
 
 from foglab.baselines import load_histogram
 from foglab.cli import cli_main
-from foglab.estimator import parse_estimate_record
-from foglab.photometry import GammaMap, expand, load_gamma_file
+from foglab.estimator import (EstimatorState, estimate, format_estimate_record,
+                              parse_estimate_record)
+from foglab.localmap import LocalMapGraph, generate_dr_pairs, save_map
+from foglab.photometry import CHANNEL_NAMES, GammaMap, expand, load_gamma_file
 from foglab.rasters import read_image, write_distance_map, write_image
-from foglab.scattering import IntensityFogParams, quantize_to_u8, synthesize_fog_image
+from foglab.scattering import (FogParams, IntensityFogParams, quantize_to_u8,
+                               synthesize_fog_image)
+from foglab.simulator import NoiseSpec, SceneSpec, generate_scene
 
 
 def run(*argv):
@@ -58,6 +62,42 @@ def test_estimate_insufficient_map_fails(tmp_path, capsys):
     map_path, _ = make_map(tmp_path, landmarks=5)
     assert run("estimate", map_path) == 1
     assert "xi_k" in capsys.readouterr().err
+
+
+def test_estimate_rejects_thresholds_before_reading_the_map(tmp_path, capsys):
+    missing = tmp_path / "nope.map"
+    for flag, value, message in [("--xi-f", 1, "xi_f must be at least 2"),
+                                 ("--xi-k", 0, "xi_k must be at least 1")]:
+        assert run("estimate", flag, value, missing) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_estimate_on_a_color_map_uses_each_channels_gamma_map(tmp_path):
+    # one simulated scene per color channel: same distances and clear values,
+    # a different fog in each
+    spec = SceneSpec(n_landmarks=16, n_frames=6)
+    scenes = [generate_scene(spec, FogParams(beta, 200.0), GammaMap.identity(),
+                             NoiseSpec(std=0.5, seed=3))[0] for beta in (0.03, 0.05, 0.08)]
+    edges = scenes[0].edges
+    graph = LocalMapGraph.from_edges(
+        edges["frame"], edges["landmark"], edges["distance"],
+        np.column_stack([g.edges["intensity"][:, 0] for g in scenes]), 3,
+        frames=scenes[0].frames)
+    map_path, gamma_path = tmp_path / "color.map", tmp_path / "color.gamma"
+    save_map(graph, map_path)
+    gamma_path.write_text("gray 1.0 1.0 0.0\nr 0.5 1.2 3.0\n")    # g, b fall back
+    maps = load_gamma_file(gamma_path)
+    assert maps.r != maps.gray
+    lines = {}
+    for channel in CHANNEL_NAMES:
+        out = tmp_path / f"{channel}.txt"
+        assert run("estimate", map_path, "--gamma", gamma_path, "--channel", channel,
+                   "--out", out) == 0
+        lines[channel] = out.read_text()
+        gmap = maps.for_channel(channel)
+        result = estimate(generate_dr_pairs(graph, gmap, channel), gmap, EstimatorState())
+        assert lines[channel] == format_estimate_record(5, channel, result) + "\n"
+    assert len({line.split(" ", 2)[2] for line in lines.values()}) == 4
 
 
 def test_estimate_missing_file_fails(tmp_path, capsys):
@@ -123,6 +163,18 @@ def test_fit_gamma_requires_gray(tmp_path, capsys):
     csv_path.write_text("channel,intensity,power\nr,10,1\nr,20,2\nr,30,3\nr,40,4\n")
     assert run("fit-gamma", "--csv", csv_path, "--out", tmp_path / "o.gamma") == 1
     assert "gray" in capsys.readouterr().err
+
+
+def test_fit_gamma_rejects_an_unknown_channel(tmp_path, capsys):
+    csv_path = tmp_path / "calib.csv"
+    rows = [f"{name},{i},{i / 10}" for name in ("gray", "red") for i in (10, 20, 30, 40)]
+    csv_path.write_text("\n".join(["channel,intensity,power", *rows]) + "\n")
+    out = tmp_path / "o.gamma"
+    assert run("fit-gamma", "--csv", csv_path, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: csv line 6: unknown channel 'red'; "
+                            f"expected one of {CHANNEL_NAMES}\n")
+    assert captured.out == "" and not out.exists()
 
 
 def test_fit_gamma_names_a_row_without_power(tmp_path, capsys):

@@ -236,7 +236,7 @@ def test_uniform_weight_mode_recovers_too():
 
 def test_too_few_landmarks_raises():
     obs, _ = recovery_problem(n_landmarks=14)
-    with pytest.raises(NotEnoughDataError, match="xi_k"):
+    with pytest.raises(NotEnoughDataError, match="14 qualifying landmarks, xi_k=15"):
         estimate(obs, IDENT, EstimatorState(), EstimatorConfig())
 
 

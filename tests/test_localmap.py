@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from foglab.errors import MapFormatError
+from foglab.errors import MapFormatError, NotEnoughDataError
+from foglab.estimator import EstimatorConfig, EstimatorState, estimate
 from foglab.localmap import (EdgeError, LocalMapGraph, ObservationSet, Observation,
-                             SelectionThresholds, check_sufficiency,
                              generate_dr_pairs, load_map, save_map)
-from foglab.photometry import ChannelGammaMaps, GammaMap
+from foglab.photometry import CHANNEL_NAMES, GammaMap
+from foglab.scattering import transmission
 
 
 def graph_of(edges, n_channels=1):
@@ -29,15 +30,13 @@ def test_landmark_selection_by_frame_count():
     obs = generate_dr_pairs(g, GammaMap.identity())
     assert obs.landmark_ids == [2, 3, 4]          # only the fully tracked ones
     assert obs.n_observations == 12
-    relaxed = generate_dr_pairs(g, GammaMap.identity(),
-                                thresholds=SelectionThresholds(xi_f=2, xi_k=1))
+    relaxed = generate_dr_pairs(g, GammaMap.identity(), xi_f=2)
     assert relaxed.landmark_ids == [1, 2, 3, 4, 5]
 
 
 def test_selection_boundary_is_inclusive():
     g = small_graph()
-    obs = generate_dr_pairs(g, GammaMap.identity(),
-                            thresholds=SelectionThresholds(xi_f=3, xi_k=1))
+    obs = generate_dr_pairs(g, GammaMap.identity(), xi_f=3)
     assert 5 in obs.groups          # exactly 3 sightings, xi_f=3 keeps it
     assert 1 not in obs.groups      # 2 sightings < 3
 
@@ -57,8 +56,7 @@ UNSORTED_GROUPS = {
 def test_observations_sorted_by_distance_then_frame():
     g = graph_of([(3, 7, 20.0, [50.0]), (1, 7, 10.0, [60.0]),
                   (0, 7, 20.0, [55.0]), (2, 7, 15.0, [58.0])])
-    from_graph = generate_dr_pairs(g, GammaMap.identity(),
-                                   thresholds=SelectionThresholds(xi_f=4, xi_k=1))
+    from_graph = generate_dr_pairs(g, GammaMap.identity(), xi_f=4)
     for obs in (from_graph, ObservationSet(UNSORTED_GROUPS)):
         seq = obs.groups[7]
         assert [(o.distance, o.frame) for o in seq] == [(10.0, 1), (15.0, 2),
@@ -87,43 +85,65 @@ def test_observations_are_validated_when_built(distance, radiance):
 def test_gamma_map_applied_to_intensities():
     g = graph_of([(m, 0, 10.0 + m, [100.0]) for m in range(4)])
     gmap = GammaMap(alpha=0.01, gamma=2.0, zeta=0.5)
-    obs = generate_dr_pairs(g, gmap, thresholds=SelectionThresholds(xi_f=4, xi_k=1))
+    obs = generate_dr_pairs(g, gmap, xi_f=4)
     assert all(o.radiance == pytest.approx(100.5) for o in obs.groups[0])
 
 
 def test_color_graph_channels_and_luma():
     g = graph_of([(m, 0, 10.0 + m, [100.0, 200.0, 50.0]) for m in range(4)], 3)
-    maps = ChannelGammaMaps(gray=GammaMap.identity(), r=GammaMap.identity(),
-                            g=GammaMap.identity(), b=GammaMap.identity())
-    th = SelectionThresholds(xi_f=4, xi_k=1)
-    assert generate_dr_pairs(g, maps, "r", th).groups[0][0].radiance == 100.0
-    assert generate_dr_pairs(g, maps, "g", th).groups[0][0].radiance == 200.0
-    assert generate_dr_pairs(g, maps, "b", th).groups[0][0].radiance == 50.0
-    luma = generate_dr_pairs(g, maps, "gray", th).groups[0][0].radiance
+    ident = GammaMap.identity()
+    assert generate_dr_pairs(g, ident, "r", 4).groups[0][0].radiance == 100.0
+    assert generate_dr_pairs(g, ident, "g", 4).groups[0][0].radiance == 200.0
+    assert generate_dr_pairs(g, ident, "b", 4).groups[0][0].radiance == 50.0
+    luma = generate_dr_pairs(g, ident, "gray", 4).groups[0][0].radiance
     assert luma == pytest.approx(0.299 * 100.0 + 0.587 * 200.0 + 0.114 * 50.0)
 
 
 def test_gray_graph_has_no_color_channels():
     g = graph_of([(m, 0, 10.0 + m, [100.0]) for m in range(4)])
     for channel in ("r", "g", "b"):
-        with pytest.raises(ValueError, match="gray"):
-            generate_dr_pairs(g, ChannelGammaMaps.identity(), channel)
+        with pytest.raises(ValueError, match="needs a color map; this map is gray"):
+            generate_dr_pairs(g, GammaMap.identity(), channel)
+    color = graph_of([(m, 0, 10.0 + m, [100.0, 200.0, 50.0]) for m in range(4)], 3)
+    for graph in (g, color):
+        for channel in ("red", "R", ""):
+            with pytest.raises(ValueError) as info:
+                generate_dr_pairs(graph, GammaMap.identity(), channel)
+            assert str(info.value) == \
+                f"unknown channel {channel!r}; expected one of {CHANNEL_NAMES}"
+
+
+def fog_graph(n_landmarks, beta=0.05, l_inf=200.0):
+    """Noiseless fog over 4 frames; every landmark is seen from all of them."""
+    lcs = np.linspace(20.0, 150.0, n_landmarks)
+    rows = []
+    for n, lc in enumerate(lcs):
+        for m, d in enumerate((8.0 + n, 25.0 + n, 45.0 + n, 70.0 + n)):
+            t = float(transmission(beta, d))
+            rows.append((m, n, d, [lc * t + l_inf * (1.0 - t)]))
+    return graph_of(rows)
 
 
 def test_check_sufficiency_threshold():
-    def obs_with(k):
-        return ObservationSet({n: (Observation(0, 1.0, 1.0),) for n in range(k)})
-    th = SelectionThresholds(xi_f=4, xi_k=15)
-    assert check_sufficiency(obs_with(15), th)
-    assert not check_sufficiency(obs_with(14), th)
-    assert not check_sufficiency(ObservationSet({}), th)
+    # estimate owns xi_k: 15 qualifying landmarks are enough, 14 are not
+    ident = GammaMap.identity()
+    fifteen = generate_dr_pairs(fog_graph(15), ident)
+    assert len(estimate(fifteen, ident, EstimatorState()).estimate.lc) == 15
+    fourteen = generate_dr_pairs(fog_graph(14), ident)
+    with pytest.raises(NotEnoughDataError, match="14 qualifying landmarks, xi_k=15"):
+        estimate(fourteen, ident, EstimatorState())
+    assert len(estimate(fourteen, ident, EstimatorState(),
+                        EstimatorConfig(xi_k=14)).estimate.lc) == 14
+    with pytest.raises(NotEnoughDataError, match="0 qualifying landmarks"):
+        estimate(ObservationSet({}), ident, EstimatorState())
 
 
 def test_thresholds_validation():
-    with pytest.raises(ValueError):
-        SelectionThresholds(xi_f=1)
-    with pytest.raises(ValueError):
-        SelectionThresholds(xi_k=0)
+    with pytest.raises(ValueError, match="xi_f must be at least 2"):
+        EstimatorConfig(xi_f=1)
+    with pytest.raises(ValueError, match="xi_k must be at least 1"):
+        EstimatorConfig(xi_k=0)
+    EstimatorConfig(xi_f=2, xi_k=1)
 
 
 def test_edge_table_validation():
@@ -170,7 +190,8 @@ def test_frame_subset():
 def test_empty_graph_yields_no_observations():
     obs = generate_dr_pairs(LocalMapGraph(), GammaMap.identity())
     assert obs.groups == {} and obs.n_observations == 0
-    assert not check_sufficiency(obs)
+    with pytest.raises(NotEnoughDataError, match="0 qualifying landmarks"):
+        estimate(obs, GammaMap.identity(), EstimatorState())
 
 
 def test_save_load_round_trip(tmp_path):
