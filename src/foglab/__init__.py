@@ -13,7 +13,7 @@ from .estimator import (EstimatorConfig, EstimatorState, FogEstimate,
 from .localmap import (LocalMapGraph, Observation, ObservationSet,
                        generate_dr_pairs, load_map, save_map)
 from .metrics import MetricsReport, compute_metrics
-from .optimizer import ResidualProblem, SolveOptions, SolveReport, solve
+from .optimizer import ResidualProblem, SolveReport, solve
 from .photometry import (CalibrationSeries, ChannelGammaMaps, GammaMap,
                          compress, expand, fit_gamma_map)
 from .scattering import (FogParams, IntensityFogParams, beta_from_visibility,

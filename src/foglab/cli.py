@@ -11,7 +11,6 @@ import csv
 import json
 import sys
 from dataclasses import fields, replace
-from importlib import resources
 
 import numpy as np
 
@@ -30,8 +29,7 @@ from .scattering import (IntensityFogParams, beta_from_visibility,
 
 def _load_gamma(spec: str) -> ChannelGammaMaps:
     if spec == "identity":
-        with resources.as_file(resources.files("foglab.data") / "identity.gamma") as p:
-            return load_gamma_file(p)
+        return ChannelGammaMaps.from_dict({"gray": GammaMap.identity()})
     return load_gamma_file(spec)
 
 

@@ -93,7 +93,6 @@ class Bounds:
 @dataclass
 class EstimateResult:
     estimate: FogEstimate
-    state: EstimatorState
     bounds: Bounds
     stage1: SolveReport
     stage2: Optional[SolveReport]
@@ -180,7 +179,7 @@ def huber_delta_radiance(gmap: GammaMap, delta_intensity: float) -> float:
 def _fog_problem(n_params: int, d: np.ndarray, L: np.ndarray, slot: np.ndarray,
                  **fields) -> ResidualProblem:
     """The fog model over the given observation rows; ``fields`` are the
-    remaining ResidualProblem fields (weights, loss, bounds)."""
+    remaining ResidualProblem fields (weights, Huber width, bounds)."""
     def residual(x: np.ndarray) -> np.ndarray:
         t = np.exp(-x[0] * d)
         return L - ((x[slot + 2] - x[1]) * t + x[1])
@@ -252,7 +251,7 @@ def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
     delta_l = huber_delta_radiance(gmap, config.delta)
     stage1 = solve(
         _fog_problem(x0.size, obs.distance, obs.radiance, obs.slot, weights=w,
-                     loss="huber", huber_delta=delta_l, lower=lo, upper=hi),
+                     huber_delta=delta_l, lower=lo, upper=hi),
         x0)
 
     inlier = np.abs(stage1.residuals) <= delta_l
@@ -271,7 +270,7 @@ def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
         else:
             stage2 = solve(
                 _fog_problem(x0.size, obs.distance[inlier], obs.radiance[inlier],
-                             obs.slot[inlier], loss="square", lower=lo, upper=hi),
+                             obs.slot[inlier], lower=lo, upper=hi),
                 stage1.params)
             final = stage2.params
 
@@ -279,7 +278,7 @@ def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
         beta=float(final[0]), l_inf=float(final[1]),
         lc={n: float(final[2 + k]) for k, n in enumerate(ids)})
     state.previous = result
-    return EstimateResult(estimate=result, state=state, bounds=bounds,
+    return EstimateResult(estimate=result, bounds=bounds,
                           stage1=stage1, stage2=stage2,
                           inlier_fraction=float(inlier.mean()), degraded=degraded)
 

@@ -236,6 +236,15 @@ def _parse_position(parts: list[str], lineno: int):
         raise MapFormatError(f"bad coordinate: {exc}", lineno) from exc
 
 
+_ID_RANGE = np.iinfo(np.int64)
+
+
+def _check_id(value: int, lineno: int) -> int:
+    if not _ID_RANGE.min <= value <= _ID_RANGE.max:
+        raise MapFormatError(f"id {value} does not fit in 64 bits", lineno)
+    return value
+
+
 def load_map(path) -> LocalMapGraph:
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.readlines()
@@ -264,9 +273,9 @@ def load_map(path) -> LocalMapGraph:
             raise MapFormatError(f"{kind} takes an id", lineno)
         try:
             if kind == "frame":
-                frames[int(parts[1])] = _parse_position(parts[2:], lineno)
+                frames[_check_id(int(parts[1]), lineno)] = _parse_position(parts[2:], lineno)
             elif kind == "landmark":
-                landmarks[int(parts[1])] = _parse_position(parts[2:], lineno)
+                landmarks[_check_id(int(parts[1]), lineno)] = _parse_position(parts[2:], lineno)
             elif kind == "edge":
                 if len(parts) != 4 + nc:
                     raise MapFormatError(
@@ -282,7 +291,13 @@ def load_map(path) -> LocalMapGraph:
             raise MapFormatError(str(exc), lineno) from exc
     if header is None:
         raise MapFormatError("empty file: missing localmap header")
-    ids = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    try:
+        ids = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        for pair, lineno in zip(ids, edge_lines):
+            for value in pair:
+                _check_id(value, lineno)
+        raise
     values = np.array(values, dtype=float).reshape(-1, 1 + nc)
     try:
         graph = LocalMapGraph.from_edges(ids[:, 0], ids[:, 1], values[:, 0], values[:, 1:],

@@ -1,17 +1,18 @@
 """Bounded robust nonlinear least squares by projected Levenberg-Marquardt.
 
-Minimizes sum_k w_k * loss(r_k(x)) subject to box bounds on x. Robust losses
-enter through residual rescaling: the scaled residual satisfies
-scaled**2 == loss(raw), and the Jacobian rows pick up the matching factor, so
-the damped normal equations see an ordinary least-squares problem. Steps are
-computed without the bounds and the trial point is projected onto the box;
-a trial is accepted only if it strictly lowers the cost. Damping is
-multiplicative on the scaled diagonal of J^T J (x10 on rejection, /10 on
-acceptance with a 1e-12 floor), which keeps the iteration invariant under
-per-parameter rescaling of the problem. Everything is deterministic: same
-problem, start and options give a bitwise-identical report.
+Minimizes sum_k w_k * loss(r_k(x)) subject to box bounds on x. The loss is
+squared, or Huber of width ``huber_delta`` when that is not None. The Huber
+loss enters through residual rescaling: scaled**2 == loss(raw), and the
+Jacobian rows pick up the matching factor, so the damped normal equations
+see an ordinary least-squares problem. Steps are computed without the bounds
+and the trial point is projected onto the box; a trial is accepted only if
+it strictly lowers the cost. Damping is multiplicative on the scaled diagonal
+of J^T J (x10 on rejection, /10 on acceptance with a 1e-12 floor), which
+keeps the iteration invariant under per-parameter rescaling and the damped
+matrix positive definite, so each trial takes one linear solve. Same problem,
+start and iteration cap give a bitwise-identical report.
 
-Huber convention used throughout:
+Huber convention, for width delta:
 
     loss(r) = r**2                          for |r| <= delta
     loss(r) = 2 * delta * |r| - delta**2    otherwise
@@ -26,24 +27,19 @@ import numpy as np
 
 from .errors import NumericError
 
+_INIT_DAMPING = 1e-3
 _DAMPING_FLOOR = 1e-12
 _DAMPING_CEILING = 1e15
-
-
-@dataclass
-class SolveOptions:
-    max_iterations: int = 100
-    gradient_tol: float = 1e-10
-    step_tol: float = 1e-12
-    init_damping: float = 1e-3
+_GRADIENT_TOL = 1e-10
+_STEP_TOL = 1e-12
 
 
 @dataclass
 class ResidualProblem:
     """A weighted residual vector with analytic Jacobian and box bounds.
 
-    ``loss`` is "square" or "huber"; ``huber_delta`` is required for the
-    latter. ``weights`` are per-residual and fixed for the whole solve;
+    ``huber_delta`` is the Huber width; ``None`` means squared loss.
+    ``weights`` are per-residual and fixed for the whole solve;
     ``lower``/``upper`` default to an unbounded box.
     """
 
@@ -51,16 +47,13 @@ class ResidualProblem:
     residual: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     weights: Optional[np.ndarray] = None
-    loss: str = "square"
-    huber_delta: float = 0.0
+    huber_delta: Optional[float] = None
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.loss not in ("square", "huber"):
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if self.loss == "huber" and not self.huber_delta > 0:
-            raise ValueError("huber loss needs a positive huber_delta")
+        if self.huber_delta is not None and not self.huber_delta > 0:
+            raise ValueError("huber_delta must be positive")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
             if np.any(self.weights < 0) or not np.all(np.isfinite(self.weights)):
@@ -89,20 +82,19 @@ class SolveReport:
     projected_init: bool = False
 
 
-def robust_scale(loss: str, raw: np.ndarray, delta: float = 0.0):
-    """Return (scaled residuals, Jacobian row factors) for a robust loss.
+def robust_scale(raw: np.ndarray, delta: Optional[float] = None):
+    """Return (scaled residuals, Jacobian row factors) for the Huber loss of
+    width ``delta``, or for squared loss when ``delta`` is None.
 
     The scaled residual squares to the loss value and the factor is its
     derivative with respect to the raw residual, so a plain least-squares
     solve on the scaled system minimizes the robust objective.
     """
     raw = np.asarray(raw, dtype=float)
-    if loss == "square":
+    if delta is None:
         return raw, np.ones_like(raw)
-    if loss != "huber":
-        raise ValueError(f"unknown loss {loss!r}")
     if not delta > 0:
-        raise ValueError("huber loss needs a positive delta")
+        raise ValueError("huber delta must be positive")
     absr = np.abs(raw)
     outside = absr > delta
     value = np.where(outside, 2.0 * delta * absr - delta * delta, raw * raw)
@@ -114,13 +106,13 @@ def robust_scale(loss: str, raw: np.ndarray, delta: float = 0.0):
 
 def _evaluate(problem: ResidualProblem, x: np.ndarray, sqrt_w: np.ndarray):
     raw = np.asarray(problem.residual(x), dtype=float)
-    scaled, factor = robust_scale(problem.loss, raw, problem.huber_delta)
+    scaled, factor = robust_scale(raw, problem.huber_delta)
     rt = sqrt_w * scaled
     return raw, rt, factor
 
 
 def solve(problem: ResidualProblem, x0: np.ndarray,
-          options: SolveOptions = SolveOptions()) -> SolveReport:
+          max_iterations: int = 100) -> SolveReport:
     """Run projected LM from ``x0``. Accepted iterates never increase cost."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.n_params,):
@@ -146,13 +138,13 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
     Jt = (sqrt_w * factor)[:, None] * J
     cost = float(rt @ rt)
 
-    lam = options.init_damping
+    lam = _INIT_DAMPING
     iterations = 0
     reason = "max-iter"
-    for _ in range(options.max_iterations):
+    for _ in range(max_iterations):
         iterations += 1
         g = Jt.T @ rt
-        if np.max(np.abs(g)) < options.gradient_tol:
+        if np.max(np.abs(g)) < _GRADIENT_TOL:
             reason = "gradient"
             break
         H = Jt.T @ Jt
@@ -163,17 +155,12 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
         while lam <= _DAMPING_CEILING:
             A = H + np.diag(lam * diag)
             try:
-                np.linalg.cholesky(A)
                 step = np.linalg.solve(A, -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             x_new = np.clip(x + step, lo, hi)
-            try:
-                raw_new, rt_new, factor_new = _evaluate(problem, x_new, sqrt_w)
-            except FloatingPointError:
-                lam *= 10.0
-                continue
+            raw_new, rt_new, factor_new = _evaluate(problem, x_new, sqrt_w)
             if not np.all(np.isfinite(rt_new)):
                 lam *= 10.0
                 continue
@@ -194,7 +181,7 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
             break
         Jt = (sqrt_w * factor_new)[:, None] * J
         lam = max(lam / 10.0, _DAMPING_FLOOR)
-        if step_size < options.step_tol * (np.max(np.abs(x)) + options.step_tol):
+        if step_size < _STEP_TOL * (np.max(np.abs(x)) + _STEP_TOL):
             reason = "step"
             break
 

@@ -75,7 +75,11 @@ def read_image(path) -> np.ndarray:
         values = data[offset:].split()
         if len(values) != n:
             raise MapFormatError("ascii pixel count does not match header")
-        pixels = np.array([int(v) for v in values], dtype=np.uint8)
+        samples = [int(v) for v in values]
+        bad = [v for v in samples if not 0 <= v <= 255]
+        if bad:
+            raise MapFormatError(f"ascii sample {bad[0]} outside [0, 255]")
+        pixels = np.array(samples, dtype=np.uint8)
     shape = (h, w) if channels == 1 else (h, w, 3)
     return pixels.reshape(shape)
 

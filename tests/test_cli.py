@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from foglab.baselines import load_histogram
-from foglab.cli import cli_main
+from foglab.cli import _load_gamma, cli_main
 from foglab.estimator import (EstimatorState, estimate, format_estimate_record,
                               parse_estimate_record)
 from foglab.localmap import LocalMapGraph, generate_dr_pairs, save_map
@@ -100,6 +100,12 @@ def test_estimate_on_a_color_map_uses_each_channels_gamma_map(tmp_path):
     assert len({line.split(" ", 2)[2] for line in lines.values()}) == 4
 
 
+def test_gamma_identity_maps_every_channel_to_the_identity():
+    # the default of --gamma
+    maps = _load_gamma("identity")
+    assert [maps.for_channel(c) for c in CHANNEL_NAMES] == [GammaMap.identity()] * 4
+
+
 def test_estimate_missing_file_fails(tmp_path, capsys):
     assert run("estimate", tmp_path / "nope.map") == 1
     assert "error:" in capsys.readouterr().err
@@ -122,6 +128,14 @@ def test_baseline_from_image_and_map(tmp_path, capsys):
     assert "a_original=" in out and "beta=" in out
     centers, counts = load_histogram(hist_path)
     assert counts.sum() > 0
+
+
+@pytest.mark.parametrize("sample", ["300", "-4"])
+def test_baseline_rejects_an_ascii_sample_out_of_range(tmp_path, capsys, sample):
+    img_path = tmp_path / "frame.pgm"
+    img_path.write_text(f"P2\n2 1\n255\n10 {sample}\n")
+    assert run("baseline", "--image", img_path) == 1
+    assert f"error: ascii sample {sample} outside [0, 255]" in capsys.readouterr().err
 
 
 def test_baseline_with_explicit_a(tmp_path, capsys):

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from foglab.errors import NumericError
-from foglab.optimizer import (ResidualProblem, SolveOptions, check_jacobian,
-                              robust_scale, solve)
+from foglab.optimizer import ResidualProblem, check_jacobian, robust_scale, solve
 
 
 def scalar_problem(**kwargs):
@@ -54,7 +53,7 @@ def test_init_outside_box_is_projected():
 
 def test_rosenbrock_from_standard_start():
     report = solve(rosenbrock_problem(), np.array([-1.2, 1.0]),
-                   SolveOptions(max_iterations=200))
+                   max_iterations=200)
     assert np.allclose(report.params, [1.0, 1.0], atol=1e-6)
 
 
@@ -67,7 +66,7 @@ def test_deterministic_bitwise():
 
 def test_cost_never_increases_with_more_iterations():
     costs = [solve(rosenbrock_problem(), np.array([-1.2, 1.0]),
-                   SolveOptions(max_iterations=k)).cost
+                   max_iterations=k).cost
              for k in range(1, 25)]
     assert all(c2 <= c1 + 1e-15 for c1, c2 in zip(costs, costs[1:]))
 
@@ -79,7 +78,7 @@ def test_weights_shift_the_optimum():
         residual=lambda x: np.array([x[0] - 1.0, x[0] - 4.0]),
         jacobian=lambda x: np.array([[1.0], [1.0]]),
         weights=np.array([2.0, 1.0]))
-    report = solve(problem, np.array([0.0]), SolveOptions(max_iterations=200))
+    report = solve(problem, np.array([0.0]), max_iterations=200)
     assert report.params[0] == pytest.approx(2.0, abs=1e-6)
 
 
@@ -87,37 +86,35 @@ def test_huber_downweights_outlier():
     # square loss pulls the fit toward the outlier; huber mostly ignores it
     targets = np.array([0.0, 0.1, -0.1, 100.0])
 
-    def make(loss, delta=0.0):
+    def make(delta=None):
         return ResidualProblem(
             n_params=1,
             residual=lambda x: x[0] - targets,
             jacobian=lambda x: np.ones((4, 1)),
-            loss=loss, huber_delta=delta)
+            huber_delta=delta)
 
-    x_sq = solve(make("square"), np.array([0.0]),
-                 SolveOptions(max_iterations=300)).params[0]
-    x_hu = solve(make("huber", 1.0), np.array([0.0]),
-                 SolveOptions(max_iterations=300)).params[0]
+    x_sq = solve(make(), np.array([0.0]), max_iterations=300).params[0]
+    x_hu = solve(make(1.0), np.array([0.0]), max_iterations=300).params[0]
     assert x_sq == pytest.approx(25.0, abs=1e-6)
     assert abs(x_hu) < 1.0
 
 
 def test_robust_scale_square_is_identity():
     raw = np.array([-2.0, 0.0, 3.0])
-    scaled, factor = robust_scale("square", raw)
+    scaled, factor = robust_scale(raw)
     assert np.array_equal(scaled, raw)
     assert np.array_equal(factor, np.ones(3))
 
 
 def test_robust_scale_huber_inside_is_identity():
-    scaled, factor = robust_scale("huber", np.array([3.0, -2.0]), delta=5.0)
+    scaled, factor = robust_scale(np.array([3.0, -2.0]), delta=5.0)
     assert np.allclose(scaled, [3.0, -2.0])
     assert np.allclose(factor, [1.0, 1.0])
 
 
 def test_robust_scale_huber_outside_reference():
     # loss(50) with delta 5 is 2*5*50 - 25 = 475; scaled residual sqrt(475)
-    scaled, factor = robust_scale("huber", np.array([50.0, -50.0]), delta=5.0)
+    scaled, factor = robust_scale(np.array([50.0, -50.0]), delta=5.0)
     assert scaled[0] == pytest.approx(math.sqrt(475.0))
     assert scaled[1] == pytest.approx(-math.sqrt(475.0))
     assert np.all(scaled ** 2 == pytest.approx(475.0))
@@ -127,7 +124,7 @@ def test_robust_scale_huber_outside_reference():
 def test_robust_scale_squares_to_loss_everywhere():
     raw = np.linspace(-20.0, 20.0, 81)
     delta = 5.0
-    scaled, _ = robust_scale("huber", raw, delta)
+    scaled, _ = robust_scale(raw, delta)
     expected = np.where(np.abs(raw) <= delta,
                         raw ** 2, 2.0 * delta * np.abs(raw) - delta ** 2)
     assert np.allclose(scaled ** 2, expected)
@@ -135,16 +132,12 @@ def test_robust_scale_squares_to_loss_everywhere():
 
 def test_robust_scale_validation():
     with pytest.raises(ValueError):
-        robust_scale("cauchy", np.array([1.0]))
-    with pytest.raises(ValueError):
-        robust_scale("huber", np.array([1.0]), delta=0.0)
+        robust_scale(np.array([1.0]), delta=0.0)
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError, match="loss"):
-        scalar_problem(loss="tukey")
     with pytest.raises(ValueError, match="huber_delta"):
-        scalar_problem(loss="huber")
+        scalar_problem(huber_delta=0.0)
     with pytest.raises(ValueError, match="weights"):
         scalar_problem(weights=np.array([-1.0]))
     with pytest.raises(ValueError, match="bounds"):
@@ -200,8 +193,7 @@ def test_check_jacobian_flags_wrong_analytic():
 
 
 def test_stop_reasons():
-    report = solve(scalar_problem(), np.array([10.0]),
-                   SolveOptions(max_iterations=1))
+    report = solve(scalar_problem(), np.array([10.0]), max_iterations=1)
     assert report.reason == "max-iter"
     report = solve(scalar_problem(), np.array([3.0]))
     assert report.reason == "gradient"   # already at the optimum

@@ -160,10 +160,3 @@ def test_gamma_file_requires_gray(tmp_path):
     path.write_text("r 1.0 1.0 0.0\n")
     with pytest.raises(Exception):
         load_gamma_file(path)
-
-
-def test_identity_gamma_ships_with_package():
-    from importlib import resources
-    with resources.as_file(resources.files("foglab.data") / "identity.gamma") as p:
-        maps = load_gamma_file(p)
-    assert expand(maps.gray, 137.0) == 137.0

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from foglab.estimator import residual_and_jacobian
 from foglab.localmap import LocalMapGraph, Observation, ObservationSet, load_map, save_map
 from foglab.metrics import compute_metrics
-from foglab.optimizer import ResidualProblem, SolveOptions, robust_scale, solve
+from foglab.optimizer import ResidualProblem, robust_scale, solve
 from foglab.photometry import GammaMap, compress, expand
 from foglab.scattering import (beta_from_visibility, synthesize_fog_pixel,
                                transmission, visibility_from_beta,
@@ -90,7 +90,7 @@ _signed_raw = st.one_of(st.just(0.0), st.floats(1e-12, 1e6, **finite),
        delta=st.floats(1e-6, 100.0, **finite))
 def test_robust_scale_squares_to_huber_loss(raw, delta):
     raw = np.array(raw)
-    scaled, factor = robust_scale("huber", raw, delta)
+    scaled, factor = robust_scale(raw, delta)
     loss = np.where(np.abs(raw) <= delta,
                     raw ** 2, 2.0 * delta * np.abs(raw) - delta ** 2)
     assert np.allclose(scaled ** 2, loss, rtol=1e-12, atol=1e-12)
@@ -115,9 +115,8 @@ def test_solver_stays_feasible_and_deterministic(data):
     hi = np.full(2, lims[1])
     problem = ResidualProblem(n_params=2, residual=lambda x: A @ x - b,
                               jacobian=lambda x: A, lower=lo, upper=hi)
-    opts = SolveOptions(max_iterations=30)
-    r1 = solve(problem, x0, opts)
-    r2 = solve(problem, x0, opts)
+    r1 = solve(problem, x0, max_iterations=30)
+    r2 = solve(problem, x0, max_iterations=30)
     assert np.all((r1.params >= lo) & (r1.params <= hi))
     assert r1.cost >= 0.0
     assert r1.params.tobytes() == r2.params.tobytes()
