@@ -178,24 +178,23 @@ def huber_delta_radiance(gmap: GammaMap, delta_intensity: float) -> float:
 
 def _fog_problem(n_params: int, d: np.ndarray, L: np.ndarray, slot: np.ndarray,
                  **fields) -> ResidualProblem:
-    """The fog model over the given observation rows; ``fields`` are the
-    remaining ResidualProblem fields (weights, Huber width, bounds)."""
+    """The fog model over the given observation rows, in the optimizer's
+    slot form: (beta, l_inf) are global and row i depends on the one local
+    parameter lc[slot[i]]. ``fields`` are the remaining ResidualProblem
+    fields (weights, Huber width, bounds)."""
     def residual(x: np.ndarray) -> np.ndarray:
         t = np.exp(-x[0] * d)
         return L - ((x[slot + 2] - x[1]) * t + x[1])
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         t = np.exp(-x[0] * d)
-        J = np.zeros((d.size, x.size))
-        J[:, 0] = d * (x[slot + 2] - x[1]) * t
-        J[:, 1] = t - 1.0
-        J[np.arange(d.size), slot + 2] = -t
-        return J
-    return ResidualProblem(n_params, residual, jacobian, **fields)
+        return np.column_stack((d * (x[slot + 2] - x[1]) * t, t - 1.0, -t))
+    return ResidualProblem(n_params, residual, jacobian, slot=slot, n_global=2,
+                           **fields)
 
 
 def residual_and_jacobian(params: np.ndarray, obs: ObservationSet):
-    """Residual vector and Jacobian of the fog model at ``params``.
+    """Residual vector and dense Jacobian of the fog model at ``params``.
 
     ``params`` is [beta, l_inf, lc...] with clear radiances in sorted
     landmark id order; rows follow the observation rows, sorted by distance
@@ -205,7 +204,7 @@ def residual_and_jacobian(params: np.ndarray, obs: ObservationSet):
     if params.shape != (2 + len(obs.landmark_ids),):
         raise ValueError("params must be [beta, l_inf] plus one lc per landmark")
     problem = _fog_problem(params.size, obs.distance, obs.radiance, obs.slot)
-    return problem.residual(params), problem.jacobian(params)
+    return problem.residual(params), problem.dense_jacobian(params)
 
 
 def should_update(position: tuple[float, ...] | float, state: EstimatorState,

@@ -272,10 +272,12 @@ def load_map(path) -> LocalMapGraph:
         if kind in ("frame", "landmark") and len(parts) == 1:
             raise MapFormatError(f"{kind} takes an id", lineno)
         try:
-            if kind == "frame":
-                frames[_check_id(int(parts[1]), lineno)] = _parse_position(parts[2:], lineno)
-            elif kind == "landmark":
-                landmarks[_check_id(int(parts[1]), lineno)] = _parse_position(parts[2:], lineno)
+            if kind in ("frame", "landmark"):
+                table = frames if kind == "frame" else landmarks
+                key = _check_id(int(parts[1]), lineno)
+                if key in table:
+                    raise MapFormatError(f"repeated {kind} {key}", lineno)
+                table[key] = _parse_position(parts[2:], lineno)
             elif kind == "edge":
                 if len(parts) != 4 + nc:
                     raise MapFormatError(

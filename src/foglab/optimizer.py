@@ -9,8 +9,26 @@ and the trial point is projected onto the box; a trial is accepted only if
 it strictly lowers the cost. Damping is multiplicative on the scaled diagonal
 of J^T J (x10 on rejection, /10 on acceptance with a 1e-12 floor), which
 keeps the iteration invariant under per-parameter rescaling and the damped
-matrix positive definite, so each trial takes one linear solve. Same problem,
-start and iteration cap give a bitwise-identical report.
+matrix positive definite. Same problem, start and iteration cap give a
+bitwise-identical report.
+
+A problem is dense, or has the ``slot`` form. In the slot form the first
+``n_global`` parameters are global and the rest are local: residual row i
+depends on the global parameters and on local parameter ``slot[i]`` only,
+and the Jacobian callback returns the ``(N, n_global + 1)`` columns
+[d r / d global..., d r / d local of the row]. J^T J is then an arrowhead:
+a dense global block H_g, a diagonal local block H_l and a coupling block
+B. Each iteration reduces the rows to those blocks once (the per-local sums
+in one ``np.bincount``); each damping trial then eliminates the local block
+(the Schur complement of bundle adjustment),
+
+    D   = H_l + lam * d_l
+    S   = H_g + lam * diag(d_g) - B D^-1 B^T
+    S s_g = B D^-1 g_l - g_g,        s_l = -(g_l + B^T s_g) / D,
+
+which is the damped dense step, so a trial solves an n_global-sized
+symmetric positive definite system and all else is O(N). A dense problem is
+the case with no local parameters (B empty, S the whole damped matrix).
 
 Huber convention, for width delta:
 
@@ -20,6 +38,7 @@ Huber convention, for width delta:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,6 +60,12 @@ class ResidualProblem:
     ``huber_delta`` is the Huber width; ``None`` means squared loss.
     ``weights`` are per-residual and fixed for the whole solve;
     ``lower``/``upper`` default to an unbounded box.
+
+    ``slot`` is None for a dense problem, whose ``jacobian`` returns
+    ``(N, n_params)``. Otherwise it gives, per residual row, the index of the
+    one local parameter ``x[n_global + slot[i]]`` the row depends on, and
+    ``jacobian`` returns the ``(N, n_global + 1)`` columns described in the
+    module docstring.
     """
 
     n_params: int
@@ -50,10 +75,25 @@ class ResidualProblem:
     huber_delta: Optional[float] = None
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
+    slot: Optional[np.ndarray] = None
+    n_global: Optional[int] = None
 
     def __post_init__(self):
         if self.huber_delta is not None and not self.huber_delta > 0:
             raise ValueError("huber_delta must be positive")
+        if self.slot is None:
+            if self.n_global not in (None, self.n_params):
+                raise ValueError("n_global needs slot")
+            self.n_global = self.n_params
+        else:
+            self.slot = np.asarray(self.slot)
+            if self.n_global is None or not 0 <= self.n_global < self.n_params:
+                raise ValueError("slot needs 0 <= n_global < n_params")
+            if (self.slot.ndim != 1 or self.slot.dtype.kind not in "iu"
+                    or np.any(self.slot < 0)
+                    or np.any(self.slot >= self.n_params - self.n_global)):
+                raise ValueError("slot entries must be integers in "
+                                 "[0, n_params - n_global)")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
             if np.any(self.weights < 0) or not np.all(np.isfinite(self.weights)):
@@ -70,6 +110,17 @@ class ResidualProblem:
         if b.shape != (self.n_params,):
             raise ValueError("bounds must have one entry per parameter")
         return b
+
+    def dense_jacobian(self, x: np.ndarray) -> np.ndarray:
+        """The ``(N, n_params)`` Jacobian at ``x``, expanded from the slot
+        columns when the problem has the slot form."""
+        J = np.asarray(self.jacobian(x), dtype=float)
+        if self.slot is None:
+            return J
+        dense = np.zeros((self.slot.size, self.n_params))
+        dense[:, :self.n_global] = J[:, :self.n_global]
+        dense[np.arange(self.slot.size), self.n_global + self.slot] = J[:, self.n_global]
+        return dense
 
 
 @dataclass
@@ -111,6 +162,54 @@ def _evaluate(problem: ResidualProblem, x: np.ndarray, sqrt_w: np.ndarray):
     return raw, rt, factor
 
 
+def _blocks(Jt: np.ndarray, rt: np.ndarray, n_global: int,
+            flat: Optional[np.ndarray], n_local: int):
+    """The arrowhead of the scaled system, as three arrays: [H_g | g_g]
+    (n_global, n_global + 1); per local parameter its coupling row and
+    gradient [B^T | g_l] (n_local, n_global + 1); and the local diagonal H_l."""
+    cols = np.hstack((Jt[:, :n_global], rt[:, None], Jt[:, n_global:]))
+    global_block = cols[:, :n_global].T @ cols[:, :n_global + 1]
+    if flat is None:
+        return global_block, np.zeros((0, n_global + 1)), np.zeros(0)
+    # per row: its local derivative times [global derivatives, residual,
+    # local derivative], summed per local parameter
+    sums = np.bincount(flat, (cols[:, -1:] * cols).ravel(), n_local * (n_global + 2))
+    sums = sums.reshape(n_local, n_global + 2)
+    return global_block, sums[:, :-1], sums[:, -1]
+
+
+def _cholesky_solve(m: list) -> Optional[list]:
+    """Solve S x = b in Python floats, given the rows of [S | b] with S small
+    and symmetric positive definite; S's lower triangle is read and
+    overwritten. None when a pivot is not positive."""
+    n = len(m)
+    for i in range(n):
+        ri = m[i]
+        for j in range(i + 1):
+            rj = m[j]
+            s = ri[j]
+            for k in range(j):
+                s -= ri[k] * rj[k]
+            if j < i:
+                ri[j] = s / rj[j]
+            elif s > 0:
+                ri[i] = math.sqrt(s)
+            else:
+                return None
+    x = [row[n] for row in m]
+    for i in range(n):
+        s = x[i]
+        for k in range(i):
+            s -= m[i][k] * x[k]
+        x[i] = s / m[i][i]
+    for i in reversed(range(n)):
+        s = x[i]
+        for k in range(i + 1, n):
+            s -= m[k][i] * x[k]
+        x[i] = s / m[i][i]
+    return x
+
+
 def solve(problem: ResidualProblem, x0: np.ndarray,
           max_iterations: int = 100) -> SolveReport:
     """Run projected LM from ``x0``. Accepted iterates never increase cost."""
@@ -128,11 +227,22 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
         if problem.weights.shape != (n_res,):
             raise ValueError("weights must have one entry per residual")
         sqrt_w = np.sqrt(problem.weights)
+    n_global = problem.n_global
+    n_local = problem.n_params - n_global
+    if problem.slot is None:
+        flat = None
+    else:
+        if problem.slot.shape != (n_res,):
+            raise ValueError("slot must have one entry per residual")
+        # row i's sums land in bins slot[i] * (n_global + 2) + column
+        flat = (problem.slot[:, None] * (n_global + 2)
+                + np.arange(n_global + 2)).ravel()
 
     raw, rt, factor = _evaluate(problem, x, sqrt_w)
     J = np.asarray(problem.jacobian(x), dtype=float)
-    if J.shape != (n_res, problem.n_params):
-        raise ValueError("jacobian shape must be (n_residuals, n_params)")
+    if J.shape != (n_res, n_global + (flat is not None)):
+        raise ValueError("jacobian shape must be (n_residuals, n_params), or "
+                         "(n_residuals, n_global + 1) with slot")
     if not (np.all(np.isfinite(rt)) and np.all(np.isfinite(J))):
         raise NumericError("non-finite residual or Jacobian at the start point")
     Jt = (sqrt_w * factor)[:, None] * J
@@ -143,28 +253,33 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
     reason = "max-iter"
     for _ in range(max_iterations):
         iterations += 1
-        g = Jt.T @ rt
-        if np.max(np.abs(g)) < _GRADIENT_TOL:
+        global_block, local_rows, H_local = _blocks(Jt, rt, n_global, flat, n_local)
+        g = np.concatenate((global_block[:, -1], local_rows[:, -1]))
+        if np.abs(g).max() < _GRADIENT_TOL:
             reason = "gradient"
             break
-        H = Jt.T @ Jt
-        diag = np.diag(H).copy()
+        diag = np.concatenate((global_block.diagonal(), H_local))
         diag[diag <= 0] = 1.0  # zero-information parameters stay put
+        d_global, d_local = diag[:n_global].tolist(), diag[n_global:]
+        B = local_rows[:, :-1].T
 
         accepted = False
         while lam <= _DAMPING_CEILING:
-            A = H + np.diag(lam * diag)
-            try:
-                step = np.linalg.solve(A, -g)
-            except np.linalg.LinAlgError:
+            D = H_local + lam * d_local
+            # [S | g_g - B D^-1 g_l] with S = H_g + lam diag(d_g) - B D^-1 B^T
+            m = (global_block - (B / D) @ local_rows).tolist()
+            for i in range(n_global):
+                m[i][i] += lam * d_global[i]
+            neg_global = _cholesky_solve(m)               # -s_g
+            if neg_global is None:
                 lam *= 10.0
                 continue
-            x_new = np.clip(x + step, lo, hi)
+            # s_l = -(g_l + B^T s_g) / D
+            s_local = (local_rows @ (neg_global + [-1.0])) / D
+            step = np.concatenate(([-v for v in neg_global], s_local))
+            x_new = np.minimum(np.maximum(x + step, lo), hi)   # np.clip, minus its wrapper
             raw_new, rt_new, factor_new = _evaluate(problem, x_new, sqrt_w)
-            if not np.all(np.isfinite(rt_new)):
-                lam *= 10.0
-                continue
-            cost_new = float(rt_new @ rt_new)
+            cost_new = float(rt_new @ rt_new)   # not finite if any residual is not
             if cost_new < cost:
                 accepted = True
                 break
@@ -193,7 +308,7 @@ def check_jacobian(problem: ResidualProblem, x: np.ndarray) -> float:
     """Max relative deviation between the analytic Jacobian and central
     differences of the raw residuals at ``x``."""
     x = np.asarray(x, dtype=float)
-    J = np.asarray(problem.jacobian(x), dtype=float)
+    J = problem.dense_jacobian(x)
     fd = np.empty_like(J)
     cbrt_eps = float(np.finfo(float).eps) ** (1.0 / 3.0)
     for j in range(problem.n_params):

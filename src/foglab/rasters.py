@@ -54,6 +54,17 @@ def _read_pnm_tokens(data: bytes, count: int):
     return tokens, pos + 1
 
 
+def _ints(tokens: list[bytes], what: str) -> list[int]:
+    out = []
+    for t in tokens:
+        try:
+            out.append(int(t))
+        except ValueError:
+            raise MapFormatError(f"{what} {t.decode('ascii', 'replace')!r} "
+                                 "is not an integer") from None
+    return out
+
+
 def read_image(path) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -62,7 +73,7 @@ def read_image(path) -> np.ndarray:
         raise MapFormatError(f"unsupported netpbm magic {magic!r}")
     channels = 3 if magic in (b"P3", b"P6") else 1
     tokens, offset = _read_pnm_tokens(data, 4)
-    w, h, maxval = (int(t) for t in tokens[1:4])
+    w, h, maxval = _ints(tokens[1:4], "netpbm header value")
     if maxval != 255:
         raise MapFormatError("only 8-bit images are supported")
     n = w * h * channels
@@ -75,7 +86,7 @@ def read_image(path) -> np.ndarray:
         values = data[offset:].split()
         if len(values) != n:
             raise MapFormatError("ascii pixel count does not match header")
-        samples = [int(v) for v in values]
+        samples = _ints(values, "ascii sample")
         bad = [v for v in samples if not 0 <= v <= 255]
         if bad:
             raise MapFormatError(f"ascii sample {bad[0]} outside [0, 255]")

@@ -7,6 +7,7 @@ import pytest
 
 from foglab.baselines import load_histogram
 from foglab.cli import _load_gamma, cli_main
+from foglab.errors import MapFormatError
 from foglab.estimator import (EstimatorState, estimate, format_estimate_record,
                               parse_estimate_record)
 from foglab.localmap import LocalMapGraph, generate_dr_pairs, save_map
@@ -136,6 +137,16 @@ def test_baseline_rejects_an_ascii_sample_out_of_range(tmp_path, capsys, sample)
     img_path.write_text(f"P2\n2 1\n255\n10 {sample}\n")
     assert run("baseline", "--image", img_path) == 1
     assert f"error: ascii sample {sample} outside [0, 255]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, what", [("P2\n2 1\n255\n10 x\n", "ascii sample 'x'"),
+                                        ("P2\nx 1\n255\n10\n", "header value 'x'")],
+                         ids=["sample", "header"])
+def test_read_image_rejects_a_non_integer_ascii_token(tmp_path, text, what):
+    img_path = tmp_path / "frame.pgm"
+    img_path.write_text(text)
+    with pytest.raises(MapFormatError, match=f"{what} is not an integer"):
+        read_image(img_path)
 
 
 def test_baseline_with_explicit_a(tmp_path, capsys):

@@ -251,7 +251,7 @@ def test_load_reports_line_numbers(tmp_path):
     for bad_line in ("edge 0 3 -5.0 100.0", "edge 0 3 5.0 256", "edge 0 3 5.0 nan",
                      "edge 0 3 5.0 1 2", f"edge 0 {too_big} 10.0 100",
                      f"edge -{too_big} 3 10.0 100", f"frame {too_big}",
-                     f"landmark -{too_big}"):
+                     f"landmark -{too_big}", "frame 0 4 5 6", "landmark 3"):
         path.write_text("localmap 2 2 3 1\nframe 0\nlandmark 3\nedge 1 2 9.0 7.0\n"
                         f"# a comment\n{bad_line}\nedge 1 3 4.0 300\n")
         with pytest.raises(MapFormatError, match="^line 6: "):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from foglab.errors import NumericError
+from foglab.estimator import _fog_problem, residual_and_jacobian
+from foglab.localmap import ObservationSet
 from foglab.optimizer import ResidualProblem, check_jacobian, robust_scale, solve
 
 
@@ -144,6 +146,12 @@ def test_problem_validation():
         scalar_problem(lower=np.array([3.0]), upper=np.array([1.0]))
     with pytest.raises(ValueError, match="bounds"):
         scalar_problem(lower=np.array([0.0, 0.0]))
+    for slot, n_global in (([0, 1], None), ([0, 1], 2), ([0, -1], 1), ([0.0], 1)):
+        with pytest.raises(ValueError, match="slot"):
+            ResidualProblem(2, scalar_problem().residual, scalar_problem().jacobian,
+                            slot=np.array(slot), n_global=n_global)
+    with pytest.raises(ValueError, match="n_global needs slot"):
+        scalar_problem(n_global=0)
 
 
 def test_solve_input_validation():
@@ -159,6 +167,14 @@ def test_solve_input_validation():
         jacobian=lambda x: np.array([[1.0], [1.0]]))
     with pytest.raises(ValueError, match="jacobian shape"):
         solve(problem, np.array([1.0]))
+
+    # the slot form takes (N, n_global + 1) columns, not the dense matrix
+    obs, x0, _, _ = random_fog_problem(np.random.default_rng(0))
+    dense = ResidualProblem(x0.size, lambda x: residual_and_jacobian(x, obs)[0],
+                            lambda x: residual_and_jacobian(x, obs)[1],
+                            slot=obs.slot, n_global=2)
+    with pytest.raises(ValueError, match="jacobian shape"):
+        solve(dense, x0)
 
 
 def test_non_finite_start_raises():
@@ -197,3 +213,103 @@ def test_stop_reasons():
     assert report.reason == "max-iter"
     report = solve(scalar_problem(), np.array([3.0]))
     assert report.reason == "gradient"   # already at the optimum
+
+
+# --- arrowhead step against the dense damped step ---------------------------------
+
+def random_fog_problem(rng, n_landmarks=12, n_frames=5, subset=False):
+    """A noisy fog fit as the estimator poses it: observations, a start
+    point, the rows fitted, and the remaining problem fields. With
+    ``subset`` some landmarks keep no rows, as in stage 2."""
+    beta, l_inf = rng.uniform(0.01, 0.1), rng.uniform(150.0, 250.0)
+    lc = rng.uniform(20.0, 200.0, n_landmarks)
+    landmark = np.repeat(np.arange(n_landmarks), n_frames)
+    d = rng.uniform(10.0, 150.0, landmark.size)
+    radiance = ((lc[landmark] - l_inf) * np.exp(-beta * d) + l_inf
+                + rng.normal(0.0, 3.0, d.size))
+    obs = ObservationSet.from_columns(np.tile(np.arange(n_frames), n_landmarks),
+                                      landmark, d, radiance)
+    x0 = np.concatenate(([0.03, 180.0], radiance[obs.near]))
+    lower = np.concatenate(([0.001, 100.0], np.full(n_landmarks, 0.0)))
+    upper = np.concatenate(([0.2, 255.0], np.full(n_landmarks, 255.0)))
+    rows = np.ones(obs.n_observations, dtype=bool)
+    fields = dict(lower=lower, upper=upper)
+    if subset:
+        rows = (rng.uniform(size=rows.size) < 0.7) & (obs.landmark % 4 != 1)
+    else:
+        fields.update(weights=rng.uniform(0.5, 2.0, rows.size), huber_delta=4.0)
+    return obs, x0, rows, fields
+
+
+def fog_slot_problem(obs, x0, rows, fields):
+    return _fog_problem(x0.size, obs.distance[rows], obs.radiance[rows],
+                        obs.slot[rows], **fields)
+
+
+def dense_lm_iteration(obs, x0, rows, fields):
+    """One damped LM iteration from the dense fog Jacobian, as a reference."""
+    w = fields.get("weights", np.ones(rows.sum()))
+    delta = fields.get("huber_delta")
+
+    def evaluate(x):
+        scaled, factor = robust_scale(residual_and_jacobian(x, obs)[0][rows], delta)
+        return np.sqrt(w) * scaled, factor
+
+    rt, factor = evaluate(x0)
+    Jt = (np.sqrt(w) * factor)[:, None] * residual_and_jacobian(x0, obs)[1][rows]
+    g, H = Jt.T @ rt, Jt.T @ Jt
+    diag = np.diag(H).copy()
+    diag[diag <= 0] = 1.0
+    lam = 1e-3
+    while True:
+        x = np.clip(x0 + np.linalg.solve(H + np.diag(lam * diag), -g),
+                    fields["lower"], fields["upper"])
+        rt_new, _ = evaluate(x)
+        if rt_new @ rt_new < rt @ rt:
+            return x
+        lam *= 10.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("subset", [False, True], ids=["huber-all-rows", "row-subset"])
+def test_arrowhead_step_equals_dense_damped_step(seed, subset):
+    obs, x0, rows, fields = random_fog_problem(np.random.default_rng(seed), subset=subset)
+    if subset:
+        assert np.unique(obs.slot[rows]).size < x0.size - 2
+    report = solve(fog_slot_problem(obs, x0, rows, fields), x0, max_iterations=1)
+    expected = dense_lm_iteration(obs, x0, rows, fields)
+    assert report.iterations == 1
+    assert np.all(np.abs(report.params - expected) <= 1e-10 * np.abs(expected))
+
+
+def counting(problem):
+    """Wrap the problem's callbacks, as a tracer would, and count calls."""
+    calls = {"residual": 0, "jacobian": 0}
+    residual, jacobian = problem.residual, problem.jacobian
+
+    def counted_residual(x):
+        calls["residual"] += 1
+        return residual(x)
+
+    def counted_jacobian(x):
+        calls["jacobian"] += 1
+        return jacobian(x)
+
+    problem.residual, problem.jacobian = counted_residual, counted_jacobian
+    return calls
+
+
+@pytest.mark.parametrize("form", ["dense", "slot"])
+def test_callback_calls_per_iteration(form):
+    # the residual once for the size, once at the start and once per trial
+    # point; the Jacobian once at the start and once per accepted step
+    if form == "dense":
+        problem, x0 = scalar_problem(), np.array([10.0])
+    else:
+        obs, x0, rows, fields = random_fog_problem(np.random.default_rng(0))
+        problem = fog_slot_problem(obs, x0, rows, fields)
+    calls = counting(problem)
+    report = solve(problem, x0, max_iterations=1)
+    # one iteration whose first trial lowered the cost
+    assert report.reason == "max-iter"
+    assert calls == {"residual": 3, "jacobian": 2}
