@@ -9,7 +9,7 @@ synthetic-scene simulator for controlled experiments.
 from .errors import (DataError, DegenerateDataError, MapFormatError,
                      NotEnoughDataError, NumericError)
 from .estimator import (EstimatorConfig, EstimatorState, FogEstimate,
-                        derive_bounds, estimate, should_update)
+                        derive_bounds, estimate)
 from .localmap import (LocalMapGraph, Observation, ObservationSet,
                        generate_dr_pairs, load_map, save_map)
 from .metrics import MetricsReport, compute_metrics

@@ -25,6 +25,9 @@ from .estimator import DEFAULT_BETA_BOUNDS
 from .localmap import ObservationSet
 
 
+DARK_CHANNEL_RADIUS = 3
+
+
 @dataclass(frozen=True)
 class HistogramConfig:
     bin_width: float = 0.001
@@ -32,9 +35,9 @@ class HistogramConfig:
     beta_range: Optional[tuple[float, float]] = None  # None = unbounded
 
     def __post_init__(self):
-        if self.bin_width <= 0:
-            raise ValueError("bin_width must be positive")
-        if self.min_inverse_depth_gap < 0:
+        if not 0 < self.bin_width < math.inf:
+            raise ValueError("bin_width must be positive and finite")
+        if not self.min_inverse_depth_gap >= 0:
             raise ValueError("min_inverse_depth_gap must be non-negative")
         if self.beta_range is not None and not self.beta_range[0] < self.beta_range[1]:
             raise ValueError("beta_range must be ordered")
@@ -58,7 +61,7 @@ def _min_filter(a: np.ndarray, radius: int) -> np.ndarray:
     return a
 
 
-def dark_channel(image: np.ndarray, radius: int = 3) -> np.ndarray:
+def dark_channel(image: np.ndarray, radius: int = DARK_CHANNEL_RADIUS) -> np.ndarray:
     """Per-pixel minimum over channels and a (2*radius+1)^2 patch."""
     image = np.asarray(image, dtype=float)
     if image.ndim == 3:
@@ -83,14 +86,14 @@ def _top_dark_pixels(image: np.ndarray, radius: int):
     return image.ravel()[idx]
 
 
-def estimate_a_original(image: np.ndarray, radius: int = 3):
+def estimate_a_original(image: np.ndarray, radius: int = DARK_CHANNEL_RADIUS):
     """Maximum image intensity among the top-0.1% dark-channel pixels."""
     vals = _top_dark_pixels(image, radius)
     out = vals.max(axis=0)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def estimate_a_modified(image: np.ndarray, radius: int = 3):
+def estimate_a_modified(image: np.ndarray, radius: int = DARK_CHANNEL_RADIUS):
     """Median image intensity among the top-0.1% dark-channel pixels."""
     vals = _top_dark_pixels(image, radius)
     out = np.median(vals, axis=0)

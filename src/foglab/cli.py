@@ -17,7 +17,7 @@ import numpy as np
 from . import baselines, harness, simulator
 from .errors import DataError, NotEnoughDataError
 from .estimator import (DEFAULT_BETA_BOUNDS, EstimatorConfig, EstimatorState, estimate,
-                        format_estimate_record, should_update)
+                        format_estimate_record)
 from .localmap import generate_dr_pairs, load_map, save_map
 from .metrics import compute_metrics
 from .photometry import (CHANNEL_NAMES, CalibrationSeries, ChannelGammaMaps, GammaMap,
@@ -50,7 +50,7 @@ def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=default.delta)
     p.add_argument("--beta-min", type=float, default=default.beta_bounds[0])
     p.add_argument("--beta-max", type=float, default=default.beta_bounds[1])
-    p.add_argument("--update-gate", type=float, default=default.update_gate)
+    p.add_argument("--update-gate", type=float, default=5.0, help="meters between updates")
     p.add_argument("--one-stage", action="store_true")
     p.add_argument("--uniform-weights", action="store_true")
 
@@ -58,7 +58,7 @@ def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
 def _estimator_config(args) -> EstimatorConfig:
     return EstimatorConfig(
         xi_f=args.xi_f, xi_k=args.xi_k, eta=args.eta, delta=args.delta,
-        beta_bounds=(args.beta_min, args.beta_max), update_gate=args.update_gate,
+        beta_bounds=(args.beta_min, args.beta_max),
         two_stage=not args.one_stage, uniform_weights=args.uniform_weights)
 
 
@@ -129,8 +129,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     config = _estimator_config(args)
+    if not 0 <= args.update_gate < np.inf:
+        raise ValueError("--update-gate must be finite and non-negative")
     gmap = _load_gamma(args.gamma).for_channel(args.channel)
     state = EstimatorState()
+    last = None                 # position of the last update
     out = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
     try:
         for path in args.maps:
@@ -139,14 +142,15 @@ def _cmd_estimate(args) -> int:
                 raise NotEnoughDataError(f"{path}: map has no frames")
             latest = max(graph.frames)
             position = graph.frames.get(latest)
-            if position is not None and not should_update(position, state, config):
+            if position is not None and last is not None and \
+                    np.linalg.norm(np.subtract(position, last)) < args.update_gate:
                 print(f"# frame={latest} skipped: moved less than "
-                      f"{config.update_gate} m since last update", file=out)
+                      f"{args.update_gate} m since last update", file=out)
                 continue
             obs = generate_dr_pairs(graph, gmap, args.channel, config.xi_f)
             result = estimate(obs, gmap, state, config)
             if position is not None:
-                state.last_update_position = position
+                last = position
             print(format_estimate_record(latest, args.channel, result), file=out)
     finally:
         if out is not sys.stdout:
@@ -290,22 +294,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fog parameter estimation from landmark observation sequences")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    scene, noise = simulator.SceneSpec(), simulator.NoiseSpec()
     p = sub.add_parser("simulate", help="generate a synthetic local map")
     p.add_argument("--out", required=True)
     p.add_argument("--truth-out")
     p.add_argument("--config", help="scene spec as JSON")
-    p.add_argument("--landmarks", type=int, default=20)
-    p.add_argument("--frames", type=int, default=6)
-    p.add_argument("--start-min", type=float, default=30.0)
-    p.add_argument("--start-max", type=float, default=90.0)
-    p.add_argument("--spacing", type=float, default=4.0)
+    p.add_argument("--landmarks", type=int, default=scene.n_landmarks)
+    p.add_argument("--frames", type=int, default=scene.n_frames)
+    p.add_argument("--start-min", type=float, default=scene.start_distance_range[0])
+    p.add_argument("--start-max", type=float, default=scene.start_distance_range[1])
+    p.add_argument("--spacing", type=float, default=scene.frame_spacing)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--beta", type=float)
     g.add_argument("--visibility", type=float, default=50.0)
     p.add_argument("--a", type=float, default=204.0)
-    p.add_argument("--noise-std", type=float, default=1.0)
+    p.add_argument("--noise-std", type=float, default=noise.std)
     p.add_argument("--no-quantize", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=noise.seed)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="run the joint estimator on local maps")
@@ -320,9 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image")
     p.add_argument("--a", type=float)
     p.add_argument("--a-rule", choices=("original", "modified"), default="modified")
-    p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--tau", type=float, default=0.01)
-    p.add_argument("--bin-width", type=float, default=0.001)
+    hist = baselines.HistogramConfig()
+    p.add_argument("--radius", type=int, default=baselines.DARK_CHANNEL_RADIUS)
+    p.add_argument("--tau", type=float, default=hist.min_inverse_depth_gap)
+    p.add_argument("--bin-width", type=float, default=hist.bin_width)
     p.add_argument("--bounded", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--hist-out")
     p.set_defaults(func=_cmd_baseline)
@@ -359,22 +365,24 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out")
     e.set_defaults(func=_cmd_gamma_bias)
 
+    recovery = harness.RecoveryConfig()
     e = esub.add_parser("recovery", help="method comparison across visibility levels")
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--repeats", type=int, default=3)
-    e.add_argument("--noise-std", type=float, default=1.0)
-    e.add_argument("--outlier-fraction", type=float, default=0.1)
-    e.add_argument("--outlier-std", type=float, default=40.0)
+    e.add_argument("--seed", type=int, default=recovery.seed)
+    e.add_argument("--repeats", type=int, default=recovery.repeats)
+    e.add_argument("--noise-std", type=float, default=recovery.noise.std)
+    e.add_argument("--outlier-fraction", type=float, default=recovery.noise.outlier_fraction)
+    e.add_argument("--outlier-std", type=float, default=recovery.noise.outlier_std)
     e.add_argument("--out-dir")
     e.set_defaults(func=_cmd_recovery)
 
     e = esub.add_parser("histogram", help="bounded vs unbounded pairwise "
                                           "beta histogram under a perturbed "
                                           "atmospheric value")
-    e.add_argument("--visibility", type=float, default=30.0)
-    e.add_argument("--a-perturbation", type=float, default=4.0)
-    e.add_argument("--noise-std", type=float, default=1.0)
-    e.add_argument("--seed", type=int, default=0)
+    demo = harness.HistogramDemoConfig()
+    e.add_argument("--visibility", type=float, default=demo.visibility)
+    e.add_argument("--a-perturbation", type=float, default=demo.a_perturbation)
+    e.add_argument("--noise-std", type=float, default=demo.noise_std)
+    e.add_argument("--seed", type=int, default=demo.seed)
     e.add_argument("--out-unbounded")
     e.add_argument("--out-bounded")
     e.set_defaults(func=_cmd_histogram_demo)

@@ -41,7 +41,6 @@ class EstimatorConfig:
     eta: float = 2.0                    # intensity-per-meter slope threshold
     delta: float = 5.0                  # Huber width, in intensity levels
     beta_bounds: tuple[float, float] = DEFAULT_BETA_BOUNDS
-    update_gate: float = 5.0            # meters travelled between updates
     two_stage: bool = True
     uniform_weights: bool = False
 
@@ -52,9 +51,9 @@ class EstimatorConfig:
             raise ValueError("xi_k must be at least 1")
         if not (0 < self.beta_bounds[0] < self.beta_bounds[1]):
             raise ValueError("beta bounds must satisfy 0 < lower < upper")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.eta <= 0:
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
+        if not self.eta > 0:
             raise ValueError("eta must be positive")
 
 
@@ -75,19 +74,18 @@ class EstimatorState:
 
     previous: Optional[FogEstimate] = None
     inlier_counts: dict[tuple[int, int], int] = field(default_factory=dict)
-    last_update_position: Optional[tuple[float, ...] | float] = None
 
 
 @dataclass
 class Bounds:
-    beta: tuple[float, float]
-    l_inf: tuple[float, float]
-    lc: dict[int, tuple[float, float]]
+    """The box over [beta, l_inf, lc...] the solver clips to, lc in obs.landmark_ids order."""
 
-    def as_vectors(self, ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.array([self.beta[0], self.l_inf[0]] + [self.lc[n][0] for n in ids])
-        hi = np.array([self.beta[1], self.l_inf[1]] + [self.lc[n][1] for n in ids])
-        return lo, hi
+    lower: np.ndarray
+    upper: np.ndarray
+
+    @property
+    def beta(self) -> tuple[float, float]:
+        return float(self.lower[0]), float(self.upper[0])
 
 
 @dataclass
@@ -101,7 +99,7 @@ class EstimateResult:
 
 
 def derive_bounds(obs: ObservationSet, gmap: GammaMap,
-                  eta: float = 2.0,
+                  eta: float = EstimatorConfig.eta,
                   beta_bounds: tuple[float, float] = DEFAULT_BETA_BOUNDS) -> Bounds:
     """Box bounds from per-landmark intensity-over-distance slopes.
 
@@ -134,8 +132,8 @@ def derive_bounds(obs: ObservationSet, gmap: GammaMap,
         l_inf_lo = min(float(np.median(candidates)), float(np.median(far_l)))
     else:
         l_inf_lo = lo_all
-    lc_bounds = dict(zip(obs.landmark_ids, zip(lo.tolist(), hi.tolist())))
-    return Bounds(beta=beta_bounds, l_inf=(l_inf_lo, hi_all), lc=lc_bounds)
+    return Bounds(lower=np.concatenate(([beta_bounds[0], l_inf_lo], lo)),
+                  upper=np.concatenate(([beta_bounds[1], hi_all], hi)))
 
 
 def initialize(obs: ObservationSet, state: EstimatorState, bounds: Bounds) -> np.ndarray:
@@ -154,15 +152,14 @@ def initialize(obs: ObservationSet, state: EstimatorState, bounds: Bounds) -> np
     else:
         x[0], x[1] = prev.beta, prev.l_inf
         x[2:] = [prev.lc.get(n, L) for n, L in zip(ids, obs.radiance[obs.near].tolist())]
-    lo, hi = bounds.as_vectors(ids)
-    return np.clip(x, lo, hi)
+    return np.clip(x, bounds.lower, bounds.upper)
 
 
-def compute_weights(obs: ObservationSet, reference: FogEstimate,
+def compute_weights(obs: ObservationSet, x: np.ndarray,
                     inlier_counts: dict[tuple[int, int], int]) -> np.ndarray:
-    """Stage-1 confidence weights, one per observation row."""
-    contrast = np.array([abs(reference.lc[n] - reference.l_inf)
-                         for n in obs.landmark_ids])
+    """Stage-1 confidence weights, one per observation row, from the
+    contrast |lc - l_inf| of each landmark in the parameter vector ``x``."""
+    contrast = np.abs(x[2:] - x[1])
     counts = np.array([inlier_counts.get(key, 0) for key in
                        zip(obs.frame.tolist(), obs.landmark.tolist())], dtype=float)
     return contrast[obs.slot] * (counts + 1)
@@ -207,17 +204,6 @@ def residual_and_jacobian(params: np.ndarray, obs: ObservationSet):
     return problem.residual(params), problem.dense_jacobian(params)
 
 
-def should_update(position: tuple[float, ...] | float, state: EstimatorState,
-                  config: EstimatorConfig = EstimatorConfig()) -> bool:
-    """True when the platform has moved at least the update gate since the
-    last estimate (or none was made yet). ``position`` is a coordinate
-    vector, or a scalar position along a path."""
-    if state.last_update_position is None:
-        return True
-    moved = np.linalg.norm(np.subtract(position, state.last_update_position))
-    return moved >= config.update_gate
-
-
 def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
              config: EstimatorConfig = EstimatorConfig()) -> EstimateResult:
     """Two-stage bounded robust solve for (beta, l_inf, lc...).
@@ -236,21 +222,17 @@ def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
 
     bounds = derive_bounds(obs, gmap, config.eta, config.beta_bounds)
     x0 = initialize(obs, state, bounds)
-    lo, hi = bounds.as_vectors(ids)
-
-    # reference for the confidence weights: previous estimate where available,
-    # this update's initialization otherwise
-    reference = FogEstimate(
-        beta=x0[0], l_inf=x0[1], lc={n: x0[2 + k] for k, n in enumerate(ids)})
+    # the confidence weights read the contrasts of the start vector: the
+    # previous estimate where available, this update's initialization otherwise
     if config.uniform_weights:
         w = np.ones(obs.n_observations)
     else:
-        w = compute_weights(obs, reference, state.inlier_counts)
+        w = compute_weights(obs, x0, state.inlier_counts)
 
     delta_l = huber_delta_radiance(gmap, config.delta)
     stage1 = solve(
         _fog_problem(x0.size, obs.distance, obs.radiance, obs.slot, weights=w,
-                     huber_delta=delta_l, lower=lo, upper=hi),
+                     huber_delta=delta_l, lower=bounds.lower, upper=bounds.upper),
         x0)
 
     inlier = np.abs(stage1.residuals) <= delta_l
@@ -269,7 +251,7 @@ def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
         else:
             stage2 = solve(
                 _fog_problem(x0.size, obs.distance[inlier], obs.radiance[inlier],
-                             obs.slot[inlier], lower=lo, upper=hi),
+                             obs.slot[inlier], lower=bounds.lower, upper=bounds.upper),
                 stage1.params)
             final = stage2.params
 

@@ -76,6 +76,8 @@ def read_image(path) -> np.ndarray:
     w, h, maxval = _ints(tokens[1:4], "netpbm header value")
     if maxval != 255:
         raise MapFormatError("only 8-bit images are supported")
+    if w < 1 or h < 1:
+        raise MapFormatError(f"netpbm size {w}x{h} is empty or negative")
     n = w * h * channels
     if magic in (b"P5", b"P6"):
         raw = data[offset:offset + n]
@@ -114,6 +116,8 @@ def read_distance_map(path) -> np.ndarray:
             w, h = (int(t) for t in fh.readline().split())
         except ValueError as exc:
             raise MapFormatError(f"bad distance map size line: {exc}") from exc
+        if w < 1 or h < 1:
+            raise MapFormatError(f"distance map size {w}x{h} is empty or negative")
         raw = fh.read()
     if len(raw) != 4 * w * h:
         raise MapFormatError("truncated distance map payload")

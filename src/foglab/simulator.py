@@ -37,8 +37,13 @@ class SceneSpec:
     def __post_init__(self):
         if self.n_landmarks < 1 or self.n_frames < 2:
             raise ValueError("need at least 1 landmark and 2 frames")
+        start_min, start_max = self.start_distance_range
+        if not -np.inf < start_min <= start_max < np.inf:
+            raise ValueError("start_distance_range must be finite and ordered")
+        if not np.isfinite(self.frame_spacing):
+            raise ValueError("frame_spacing must be finite")
         if self.explicit_distances is None:
-            closest = self.start_distance_range[0] - (self.n_frames - 1) * self.frame_spacing
+            closest = start_min - (self.n_frames - 1) * self.frame_spacing
             if closest <= 0:
                 raise ValueError("distance schedule reaches zero; raise start distances")
         else:
@@ -64,8 +69,9 @@ class NoiseSpec:
     offmodel_bias_std: float = 0.0
 
     def __post_init__(self):
-        if self.std < 0 or self.outlier_std < 0 or self.offmodel_bias_std < 0:
-            raise ValueError("noise levels must be non-negative")
+        if not all(0 <= s < np.inf
+                   for s in (self.std, self.outlier_std, self.offmodel_bias_std)):
+            raise ValueError("noise levels must be finite and non-negative")
         if self.domain not in ("intensity", "radiance"):
             raise ValueError("noise domain must be 'intensity' or 'radiance'")
         if not 0.0 <= self.outlier_fraction <= 1.0:

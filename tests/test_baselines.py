@@ -189,6 +189,12 @@ def test_histogram_config_validation():
     with pytest.raises(ValueError):
         HistogramConfig(min_inverse_depth_gap=-1.0)
     with pytest.raises(ValueError):
+        HistogramConfig(min_inverse_depth_gap=math.nan)
+    with pytest.raises(ValueError):
+        HistogramConfig(bin_width=math.nan)
+    with pytest.raises(ValueError):
+        HistogramConfig(bin_width=math.inf)
+    with pytest.raises(ValueError):
         HistogramConfig(beta_range=(0.2, 0.1))
     assert HistogramConfig.bounded().beta_range == (0.001, 0.2)
 

@@ -67,8 +67,12 @@ def test_estimate_insufficient_map_fails(tmp_path, capsys):
 
 def test_estimate_rejects_thresholds_before_reading_the_map(tmp_path, capsys):
     missing = tmp_path / "nope.map"
+    gate = "--update-gate must be finite and non-negative"
     for flag, value, message in [("--xi-f", 1, "xi_f must be at least 2"),
-                                 ("--xi-k", 0, "xi_k must be at least 1")]:
+                                 ("--xi-k", 0, "xi_k must be at least 1"),
+                                 ("--update-gate", -1.0, gate),
+                                 ("--update-gate", "nan", gate),
+                                 ("--update-gate", "inf", gate)]:
         assert run("estimate", flag, value, missing) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -147,6 +151,23 @@ def test_read_image_rejects_a_non_integer_ascii_token(tmp_path, text, what):
     img_path.write_text(text)
     with pytest.raises(MapFormatError, match=f"{what} is not an integer"):
         read_image(img_path)
+
+
+@pytest.mark.parametrize("header", [b"P5\n-2 -2\n255\n", b"P2\n0 2\n255\n"],
+                         ids=["negative", "zero"])
+def test_read_image_rejects_a_size_below_one(tmp_path, header):
+    img_path = tmp_path / "frame.pgm"
+    img_path.write_bytes(header)
+    with pytest.raises(MapFormatError, match="netpbm size .* is empty or negative"):
+        read_image(img_path)
+
+
+def test_synthesize_fog_rejects_a_distance_map_size_below_one(tmp_path, capsys):
+    write_image(tmp_path / "clear.pgm", np.zeros((2, 2), dtype=np.uint8))
+    (tmp_path / "d.dist").write_bytes(b"distmap float32\n-2 -2\n" + bytes(16))
+    assert run("synthesize-fog", "--clear", tmp_path / "clear.pgm",
+               "--distances", tmp_path / "d.dist", "--out", tmp_path / "f.pgm") == 1
+    assert "distance map size -2x-2 is empty or negative" in capsys.readouterr().err
 
 
 def test_baseline_with_explicit_a(tmp_path, capsys):

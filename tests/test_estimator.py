@@ -13,7 +13,7 @@ from foglab.estimator import (DEFAULT_BETA_INIT, EstimatorConfig,
                               compute_weights, derive_bounds, estimate,
                               format_estimate_record, huber_delta_radiance,
                               initialize, parse_estimate_record,
-                              residual_and_jacobian, should_update)
+                              residual_and_jacobian)
 from foglab.localmap import Observation, ObservationSet, generate_dr_pairs, save_map
 from foglab.photometry import GammaMap
 from foglab.scattering import FogParams, transmission
@@ -48,23 +48,23 @@ def test_bounds_steep_positive_slope():
     # and the far radiance becomes an l_inf lower-bound candidate
     obs = obs_set({0: [(10.0, 40.0), (50.0, 180.0)]})
     b = derive_bounds(obs, IDENT, eta=2.0)
-    assert b.lc[0] == (0.0, 40.0)
-    assert b.l_inf == (180.0, 255.0)
+    assert (b.lower[2], b.upper[2]) == (0.0, 40.0)
+    assert (b.lower[1], b.upper[1]) == (180.0, 255.0)
     assert b.beta == (0.001, 0.2)
 
 
 def test_bounds_steep_negative_slope():
     obs = obs_set({0: [(10.0, 200.0), (50.0, 60.0)]})
     b = derive_bounds(obs, IDENT, eta=2.0)
-    assert b.lc[0] == (200.0, 255.0)
-    assert b.l_inf == (0.0, 255.0)      # no positive-slope candidates
+    assert (b.lower[2], b.upper[2]) == (200.0, 255.0)
+    assert (b.lower[1], b.upper[1]) == (0.0, 255.0)     # no positive-slope candidates
 
 
 def test_bounds_flat_landmark_gets_full_range():
     obs = obs_set({0: [(10.0, 100.0), (50.0, 110.0)]})  # slope 0.25 < eta
     b = derive_bounds(obs, IDENT, eta=2.0)
-    assert b.lc[0] == (0.0, 255.0)
-    assert b.l_inf == (0.0, 255.0)
+    assert (b.lower[2], b.upper[2]) == (0.0, 255.0)
+    assert (b.lower[1], b.upper[1]) == (0.0, 255.0)
 
 
 def test_bounds_outlier_candidate_is_capped_by_typical_far_radiance():
@@ -74,30 +74,30 @@ def test_bounds_outlier_candidate_is_capped_by_typical_far_radiance():
     for n in range(1, 7):
         groups[n] = [(10.0, 130.0), (50.0, 140.0)]      # flat, far ~ 140
     b = derive_bounds(obs_set(groups), IDENT, eta=2.0)
-    assert b.l_inf[0] == 140.0
+    assert b.lower[1] == 140.0
 
 
 def test_bounds_zero_spread_is_flat():
     obs = obs_set({0: [(10.0, 40.0), (10.0, 180.0)]})
     b = derive_bounds(obs, IDENT, eta=2.0)
-    assert b.lc[0] == (0.0, 255.0)
+    assert (b.lower[2], b.upper[2]) == (0.0, 255.0)
 
 
 def test_bounds_respect_gamma_range():
     gmap = GammaMap(alpha=0.01, gamma=2.0, zeta=1.0)    # range [1, 651.25]
     obs = obs_set({0: [(10.0, 100.0), (50.0, 110.0)]})
     b = derive_bounds(obs, gmap, eta=2.0)
-    assert b.lc[0] == (1.0, pytest.approx(651.25))
+    assert (b.lower[2], b.upper[2]) == (1.0, pytest.approx(651.25))
 
 
 def test_bounds_vector_packing():
     obs = obs_set({3: [(10.0, 40.0), (50.0, 180.0)],
                    1: [(10.0, 100.0), (50.0, 110.0)]})
     b = derive_bounds(obs, IDENT, eta=2.0, beta_bounds=(0.01, 0.1))
-    lo, hi = b.as_vectors([1, 3])
-    # candidate 180 capped by the median far radiance (110+180)/2
-    assert lo.tolist() == [0.01, 145.0, 0.0, 0.0]
-    assert hi.tolist() == [0.1, 255.0, 255.0, 40.0]
+    # lc in landmark id order [1, 3]; candidate 180 capped by the median far
+    # radiance (110+180)/2
+    assert b.lower.tolist() == [0.01, 145.0, 0.0, 0.0]
+    assert b.upper.tolist() == [0.1, 255.0, 255.0, 40.0]
 
 
 # --- initialization and weights ------------------------------------------------
@@ -135,9 +135,9 @@ def test_initialization_is_projected_into_bounds():
 def test_confidence_weights():
     obs = obs_set({0: [(10.0, 50.0), (60.0, 120.0)],
                    1: [(12.0, 90.0), (55.0, 140.0)]})
-    ref = FogEstimate(beta=0.02, l_inf=210.0, lc={0: 110.0, 1: 170.0})
+    x = np.array([0.02, 210.0, 110.0, 170.0])     # [beta, l_inf, lc0, lc1]
     counts = {(0, 0): 3}                # frame 0 of landmark 0 seen 3 times
-    w = compute_weights(obs, ref, counts)
+    w = compute_weights(obs, x, counts)
     # rows: (frame 0, landmark 0), (frame 1, landmark 0), (frame 0, landmark 1)...
     assert w[0] == pytest.approx(100.0 * 4)        # contrast 100, count 3
     assert w[1] == pytest.approx(100.0)
@@ -260,36 +260,35 @@ def test_contradictory_data_flags_degraded():
     assert result.inlier_fraction == 0.0
 
 
-def test_update_gate():
-    config = EstimatorConfig()
-    state = EstimatorState()
-    assert should_update(0.0, state, config)
-    state.last_update_position = 100.0
-    assert not should_update(104.9, state, config)
-    assert should_update(105.0, state, config)
-    assert should_update(95.0, state, config)   # moving backwards counts
-
-
-def test_update_gate_measures_distance_travelled():
-    # a sideways move keeps the distance from the origin but covers 14.1 m
-    config = EstimatorConfig()
-    state = EstimatorState(last_update_position=(10.0, 0.0, 0.0))
-    assert should_update((0.0, 10.0, 0.0), state, config)
-    assert not should_update((10.0, 4.9, 0.0), state, config)
-
-
-def test_cli_estimate_updates_after_a_sideways_move(tmp_path, capsys):
+def _maps_at(tmp_path, positions):
+    """One simulated map per position, its latest frame placed there."""
     paths = []
-    for k, position in enumerate([(10.0, 0.0, 0.0), (0.0, 10.0, 0.0)]):
+    for k, position in enumerate(positions):
         graph, _ = generate_scene(SceneSpec(n_landmarks=16, n_frames=6),
                                   FogParams(0.05, 200.0), IDENT,
                                   NoiseSpec(std=0.5, seed=k))
         graph.frames[max(graph.frames)] = position
         paths.append(str(tmp_path / f"m{k}.map"))
         save_map(graph, paths[-1])
+    return paths
+
+
+def test_cli_estimate_updates_after_a_sideways_move(tmp_path, capsys):
+    # a sideways move keeps the distance from the origin but covers 14.1 m
+    paths = _maps_at(tmp_path, [(10.0, 0.0, 0.0), (0.0, 10.0, 0.0)])
     assert cli_main(["estimate", *paths]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2 and not any(line.startswith("#") for line in lines)
+
+
+def test_cli_estimate_gates_on_distance_from_the_last_update(tmp_path, capsys):
+    # 4.9 m from the update at x=100 is skipped; 5.0 m updates, and so does
+    # 5.0 m back from there
+    paths = _maps_at(tmp_path, [(x, 0.0, 0.0) for x in (100.0, 104.9, 105.0, 100.0)])
+    assert cli_main(["estimate", *paths]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.startswith("#") for line in lines] == [False, True, False, False]
+    assert lines[1] == "# frame=5 skipped: moved less than 5.0 m since last update"
 
 
 def test_inlier_counts_stay_bounded_under_a_sliding_window():
@@ -315,6 +314,12 @@ def test_config_validation():
         EstimatorConfig(delta=0.0)
     with pytest.raises(ValueError):
         EstimatorConfig(eta=-1.0)
+    with pytest.raises(ValueError):
+        EstimatorConfig(eta=math.nan)
+    with pytest.raises(ValueError):
+        EstimatorConfig(delta=math.nan)
+    with pytest.raises(ValueError):
+        EstimatorConfig(delta=math.inf)
 
 
 # --- estimate records -------------------------------------------------------------

@@ -12,6 +12,7 @@ from foglab.harness import (METHODS, HistogramDemoConfig, RecoveryConfig,
                             load_scenario_csv, load_summary_csv,
                             run_histogram_demo, run_recovery_suite,
                             write_scenario_csv, write_summary_csv)
+from foglab.localmap import generate_dr_pairs
 from foglab.scattering import FogParams, IntensityFogParams, beta_from_visibility
 from foglab.simulator import NoiseSpec, SceneSpec, generate_scene
 from foglab.photometry import GammaMap
@@ -54,18 +55,24 @@ def test_recovery_config_validation():
 
 
 def test_sequential_runner_needs_enough_frames():
+    # with fewer frames than xi_f the stream is only the whole map, on which
+    # no landmark qualifies
     graph, _ = generate_scene(
         SceneSpec(n_landmarks=20, n_frames=3, start_distance_range=(40.0, 90.0)),
         FogParams(0.05, 200.0), GammaMap.identity(), NoiseSpec(std=0.0))
-    with pytest.raises(NotEnoughDataError, match="xi_f"):
-        _run_ours(graph, EstimatorConfig())
+    obs = generate_dr_pairs(graph, GammaMap.identity(), "gray", EstimatorConfig().xi_f)
+    with pytest.raises(NotEnoughDataError, match="qualifying landmarks"):
+        _run_ours([obs], EstimatorConfig())
 
 
 def test_sequential_runner_returns_estimates():
     graph, truth = generate_scene(
         SceneSpec(n_landmarks=20, n_frames=6, start_distance_range=(40.0, 90.0)),
         FogParams(0.05, 200.0), GammaMap.identity(), NoiseSpec(std=0.0, quantize=False))
-    beta, l_inf = _run_ours(graph, EstimatorConfig())
+    frame_ids = sorted(graph.frames)
+    prefixes = [generate_dr_pairs(graph.frame_subset(frame_ids[:upto]), GammaMap.identity())
+                for upto in range(4, 7)]
+    beta, l_inf = _run_ours(prefixes, EstimatorConfig())
     assert beta == pytest.approx(0.05, rel=1e-6)
     assert l_inf == pytest.approx(200.0, rel=1e-6)
 

@@ -1,5 +1,7 @@
 """Synthetic scene generation and the response-bias experiment."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,12 @@ def test_scene_spec_validation():
         SceneSpec(n_frames=1)
     with pytest.raises(ValueError, match="schedule"):
         SceneSpec(start_distance_range=(10.0, 20.0), n_frames=6, frame_spacing=4.0)
+    with pytest.raises(ValueError, match="ordered"):
+        SceneSpec(start_distance_range=(90.0, 30.0))
+    with pytest.raises(ValueError, match="finite"):
+        SceneSpec(start_distance_range=(30.0, math.inf))
+    with pytest.raises(ValueError, match="frame_spacing"):
+        SceneSpec(frame_spacing=math.nan)
     with pytest.raises(ValueError):
         SceneSpec(n_landmarks=2, n_frames=2, explicit_distances=np.ones((3, 2)))
     with pytest.raises(ValueError):
@@ -166,6 +174,12 @@ def test_scene_spec_validation():
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(std=-1.0)
+    with pytest.raises(ValueError):
+        NoiseSpec(std=math.nan)
+    with pytest.raises(ValueError):
+        NoiseSpec(outlier_std=math.inf)
+    with pytest.raises(ValueError):
+        NoiseSpec(offmodel_bias_std=math.nan)
     with pytest.raises(ValueError):
         NoiseSpec(domain="current")
     with pytest.raises(ValueError):
