@@ -225,24 +225,75 @@ def save_map(graph: LocalMapGraph, path) -> None:
             fh.write(f"edge {m} {n} {d!r} {' '.join(map(repr, vals))}\n")
 
 
+def _numbers(tokens: list[str], convert, what: str, lineno: int) -> list:
+    """``convert`` of each token. Python's ``_`` digit groups are refused, as
+    ``np.loadtxt`` refuses them in edge records, so the file has one grammar."""
+    try:
+        for token in tokens:
+            if "_" in token:
+                raise ValueError(f"'_' in {token!r}")
+        return [convert(token) for token in tokens]
+    except ValueError as exc:
+        raise MapFormatError(f"bad {what}: {exc}", lineno) from exc
+
+
 def _parse_position(parts: list[str], lineno: int):
     if not parts:
         return None
     if len(parts) != 3:
         raise MapFormatError("positions take exactly 3 coordinates", lineno)
-    try:
-        return tuple(float(x) for x in parts)
-    except ValueError as exc:
-        raise MapFormatError(f"bad coordinate: {exc}", lineno) from exc
+    position = tuple(_numbers(parts, float, "coordinate", lineno))
+    if not all(np.isfinite(position)):
+        raise MapFormatError("coordinates must be finite", lineno)
+    return position
 
 
 _ID_RANGE = np.iinfo(np.int64)
 
 
-def _check_id(value: int, lineno: int) -> int:
+def _parse_id(token: str, kind: str, lineno: int) -> int:
+    [value] = _numbers([token], int, f"{kind} id", lineno)
     if not _ID_RANGE.min <= value <= _ID_RANGE.max:
         raise MapFormatError(f"id {value} does not fit in 64 bits", lineno)
     return value
+
+
+def _edge_syntax(n_channels: int) -> str:
+    return (f"edge takes integer frame and landmark ids, a distance and {n_channels} "
+            "intensities")
+
+
+def _parse_edges(fields: list[str], linenos: list[int], n_channels: int) -> np.ndarray:
+    """Edge table of the edge records' fields (all tokens after ``edge``), in
+    one ``np.loadtxt`` call.
+
+    Values are not checked here (see :meth:`LocalMapGraph.from_edges`). A
+    wrong field count or a token that is not a number of its field's type
+    raises :class:`MapFormatError` naming the first line that holds one.
+    """
+    dtype = _edge_dtype(n_channels)
+    if not fields:
+        return np.zeros(0, dtype)           # np.loadtxt warns on empty input
+
+    def parse(chunk):
+        return np.loadtxt(chunk, dtype=dtype, ndmin=1)
+
+    try:
+        return parse(fields)
+    except ValueError:
+        pass
+    # Bisect for the first bad record. Records parse independently, so a
+    # chunk fails exactly when it holds a bad one; fields[:lo] parse and
+    # fields[lo:hi] hold a bad record.
+    lo, hi = 0, len(fields)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parse(fields[lo:mid])
+            lo = mid
+        except ValueError:
+            hi = mid
+    raise MapFormatError(_edge_syntax(n_channels), linenos[lo])
 
 
 def load_map(path) -> LocalMapGraph:
@@ -251,59 +302,49 @@ def load_map(path) -> LocalMapGraph:
 
     header = None
     frames, landmarks = {}, {}
-    ids, values, edge_lines = [], [], []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if header is None:
-            if parts[0] != "localmap" or len(parts) != 5:
-                raise MapFormatError("expected header: localmap F K E C", lineno)
-            try:
-                nf, nk, ne, nc = (int(x) for x in parts[1:])
-            except ValueError as exc:
-                raise MapFormatError(f"bad header count: {exc}", lineno) from exc
-            if nc not in (1, 3):
-                raise MapFormatError("channel count must be 1 or 3", lineno)
-            header = (nf, nk, ne)
-            continue
-        kind = parts[0]
-        if kind in ("frame", "landmark") and len(parts) == 1:
-            raise MapFormatError(f"{kind} takes an id", lineno)
-        try:
-            if kind in ("frame", "landmark"):
+    edge_fields, edge_lines = [], []
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            text = raw.split("#", 1)[0]
+            record = text.split(None, 1)
+            if not record:
+                continue
+            if record[0] == "edge" and len(record) == 2 and header is not None:
+                edge_fields.append(record[1])
+                edge_lines.append(lineno)
+                continue
+            kind, *parts = text.split()
+            if header is None:
+                if kind != "localmap" or len(parts) != 4:
+                    raise MapFormatError("expected header: localmap F K E C", lineno)
+                nf, nk, ne, nc = _numbers(parts, int, "header count", lineno)
+                if nc not in (1, 3):
+                    raise MapFormatError("channel count must be 1 or 3", lineno)
+                header = (nf, nk, ne)
+            elif kind == "edge":
+                raise MapFormatError(_edge_syntax(nc), lineno)
+            elif kind in ("frame", "landmark"):
+                if not parts:
+                    raise MapFormatError(f"{kind} takes an id", lineno)
                 table = frames if kind == "frame" else landmarks
-                key = _check_id(int(parts[1]), lineno)
+                key = _parse_id(parts[0], kind, lineno)
+                position = _parse_position(parts[1:], lineno)
                 if key in table:
                     raise MapFormatError(f"repeated {kind} {key}", lineno)
-                table[key] = _parse_position(parts[2:], lineno)
-            elif kind == "edge":
-                if len(parts) != 4 + nc:
-                    raise MapFormatError(
-                        f"edge takes frame, landmark, distance and {nc} intensities", lineno)
-                ids.append((int(parts[1]), int(parts[2])))
-                values.append([float(v) for v in parts[3:]])
-                edge_lines.append(lineno)
+                table[key] = position
             else:
                 raise MapFormatError(f"unknown record {kind!r}", lineno)
-        except MapFormatError:
-            raise
-        except ValueError as exc:
-            raise MapFormatError(str(exc), lineno) from exc
+    except MapFormatError:
+        if header is not None:
+            # a bad record on an earlier edge line is reported first
+            _parse_edges(edge_fields, edge_lines, nc)
+        raise
     if header is None:
         raise MapFormatError("empty file: missing localmap header")
+    edges = _parse_edges(edge_fields, edge_lines, nc)
     try:
-        ids = np.array(ids, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:
-        for pair, lineno in zip(ids, edge_lines):
-            for value in pair:
-                _check_id(value, lineno)
-        raise
-    values = np.array(values, dtype=float).reshape(-1, 1 + nc)
-    try:
-        graph = LocalMapGraph.from_edges(ids[:, 0], ids[:, 1], values[:, 0], values[:, 1:],
-                                         nc, frames, landmarks)
+        graph = LocalMapGraph.from_edges(edges["frame"], edges["landmark"], edges["distance"],
+                                         edges["intensity"], nc, frames, landmarks)
     except EdgeError as exc:
         raise MapFormatError(str(exc), edge_lines[exc.row]) from exc
     counts = (len(graph.frames), len(graph.landmarks), len(graph.edges))

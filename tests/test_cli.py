@@ -345,6 +345,18 @@ def test_estimate_on_a_map_without_frames_fails(tmp_path, capsys):
     assert err.startswith("error: ") and "map has no frames" in err
 
 
+def test_estimate_rejects_a_non_finite_position_and_names_its_line(tmp_path, capsys):
+    map_path, _ = make_map(tmp_path)
+    lines = map_path.read_text().splitlines()
+    lineno = next(k for k, line in enumerate(lines, 1) if line.startswith("frame 5 "))
+    lines[lineno - 1] = "frame 5 nan 0.0 0.0"
+    map_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("estimate", map_path) == 1
+    assert capsys.readouterr().err == \
+        f"error: line {lineno}: coordinates must be finite\n"
+
+
 def test_usage_errors_exit_2(capsys):
     assert run() == 2
     assert run("no-such-command") == 2

@@ -1,5 +1,7 @@
 """Local map graph, landmark selection, and the line-oriented map format."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from foglab.estimator import EstimatorConfig, EstimatorState, estimate
 from foglab.localmap import (EdgeError, LocalMapGraph, ObservationSet, Observation,
                              generate_dr_pairs, load_map, save_map)
 from foglab.photometry import CHANNEL_NAMES, GammaMap
-from foglab.scattering import transmission
+from foglab.scattering import IntensityFogParams, transmission
+from foglab.simulator import NoiseSpec, SceneSpec, generate_scene
 
 
 def graph_of(edges, n_channels=1):
@@ -245,17 +248,152 @@ def test_load_accepts_comments_and_blank_lines(tmp_path):
     assert g.edges["distance"].tolist() == [5.0]
 
 
+HEAD_OF_BAD_MAP = "localmap 2 2 3 1\nframe 0\nlandmark 3\nedge 1 2 9.0 7.0\n"
+
+
 def test_load_reports_line_numbers(tmp_path):
     path = tmp_path / "map.txt"
     too_big = "99999999999999999999999"     # beyond int64
-    for bad_line in ("edge 0 3 -5.0 100.0", "edge 0 3 5.0 256", "edge 0 3 5.0 nan",
-                     "edge 0 3 5.0 1 2", f"edge 0 {too_big} 10.0 100",
-                     f"edge -{too_big} 3 10.0 100", f"frame {too_big}",
-                     f"landmark -{too_big}", "frame 0 4 5 6", "landmark 3"):
-        path.write_text("localmap 2 2 3 1\nframe 0\nlandmark 3\nedge 1 2 9.0 7.0\n"
-                        f"# a comment\n{bad_line}\nedge 1 3 4.0 300\n")
-        with pytest.raises(MapFormatError, match="^line 6: "):
+    edge_syntax = "edge takes integer frame and landmark ids"
+    for bad_line, message in [
+            ("edge 0 3 -5.0 100.0", "distance must be positive"),
+            ("edge 0 3 5.0 256", "intensities must lie"),
+            ("edge 0 3 5.0 nan", "intensities must lie"),
+            ("edge 0 3 5.0 1 2", edge_syntax),
+            ("edge", edge_syntax),
+            (f"edge 0 {too_big} 10.0 100", edge_syntax),
+            (f"edge -{too_big} 3 10.0 100", edge_syntax),
+            ("edge 0 1_0 5.0 100", edge_syntax),
+            ("edge 0 3.0 5.0 100", edge_syntax),
+            (f"frame {too_big}", "does not fit in 64 bits"),
+            (f"landmark -{too_big}", "does not fit in 64 bits"),
+            ("frame 1_0", "bad frame id: '_' in '1_0'"),
+            ("frame 0 4 5 6", "repeated frame 0"),
+            ("landmark 3", "repeated landmark 3"),
+            ("frame 0 nan 0 0", "coordinates must be finite"),
+            ("landmark 3 0 inf 0", "coordinates must be finite")]:
+        path.write_text(f"{HEAD_OF_BAD_MAP}# a comment\n{bad_line}\nedge 1 3 4.0 300\n")
+        with pytest.raises(MapFormatError, match=f"^line 6: .*{message}"):
             load_map(path)
+
+
+@pytest.mark.parametrize("line_5, line_6, line_7, line_8, first", [
+    ("# a comment", "edge 0 3 x 100", "edge 1 3 4.0 100", "vertex 0", 6),
+    ("vertex 0", "edge 1 3 4.0 100", "edge 0 3 x 100", "# a comment", 5)])
+def test_load_reports_the_earlier_of_two_bad_lines(tmp_path, line_5, line_6, line_7,
+                                                    line_8, first):
+    path = tmp_path / "map.txt"
+    path.write_text(f"{HEAD_OF_BAD_MAP}{line_5}\n{line_6}\n{line_7}\n{line_8}\n")
+    with pytest.raises(MapFormatError, match=f"^line {first}: "):
+        load_map(path)
+
+
+def test_underscores_are_refused_in_every_number(tmp_path):
+    path = tmp_path / "map.txt"
+    for text in ("localmap 1_0 1 1 1\n", "localmap 1 1 1 1\nframe 0 1_0.5 0 0\n",
+                 "localmap 1 1 1 1\nlandmark 1_0\n",
+                 "localmap 1 1 1 1\nedge 0 3 1_0.5 100\n"):
+        path.write_text(text)
+        with pytest.raises(MapFormatError, match="^line [12]: "):
+            load_map(path)
+
+
+def reference_load(path) -> LocalMapGraph:
+    """Line-by-line reference parser: Python ``int``/``float`` per token."""
+    frames, landmarks, rows = {}, {}, []
+    with open(path, encoding="ascii") as fh:
+        for raw in fh:
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
+                continue
+            kind, *fields = parts
+            if kind == "localmap":
+                n_channels = int(fields[3])
+            elif kind in ("frame", "landmark"):
+                table = frames if kind == "frame" else landmarks
+                table[int(fields[0])] = tuple(float(x) for x in fields[1:]) or None
+            else:
+                assert kind == "edge"
+                rows.append((int(fields[0]), int(fields[1]), float(fields[2]),
+                             [float(v) for v in fields[3:]]))
+    frame, landmark, distance, intensity = zip(*rows)
+    return LocalMapGraph.from_edges(frame, landmark, distance, intensity, n_channels,
+                                    frames, landmarks)
+
+
+def assert_same_graph(loaded, reference):
+    assert loaded.n_channels == reference.n_channels
+    assert loaded.frames == reference.frames
+    assert loaded.landmarks == reference.landmarks
+    assert loaded.edges.dtype == reference.edges.dtype
+    assert loaded.edges.tobytes() == reference.edges.tobytes()
+
+
+def simulated_graph(n_channels, seed):
+    """A noisy, unquantized simulated map, with a few landmark positions."""
+    graph, _ = generate_scene(SceneSpec(n_landmarks=30, n_frames=8),
+                              IntensityFogParams(0.03, 200.0), None,
+                              NoiseSpec(std=1.0, seed=seed, quantize=False))
+    edges = graph.edges
+    gray = edges["intensity"][:, 0]
+    intensity = gray[:, None] if n_channels == 1 else \
+        np.column_stack([gray, 255.0 - gray, gray / 3.0])
+    landmarks = {n: (0.1 * n, -2.0 / 3.0, 1e-320) for n in range(0, 30, 4)}
+    return LocalMapGraph.from_edges(edges["frame"], edges["landmark"], edges["distance"],
+                                    intensity, n_channels, graph.frames, landmarks)
+
+
+def scrambled(text, seed):
+    """The same map with its records shuffled, some tab separated, and with
+    comments and blank lines between them."""
+    header, *records = text.splitlines()
+    rng = np.random.default_rng(seed)
+    out = ["# a scrambled map", "", header]
+    for k, i in enumerate(rng.permutation(len(records))):
+        record = records[i]
+        if k % 3 == 0:
+            record = record.replace(" ", "\t")
+        if k % 5 == 1:
+            record += " \t# a note"
+        out.append(record)
+        if k % 7 == 2:
+            out += ["", "   # a comment line"]
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("n_channels", [1, 3])
+def test_load_matches_the_line_by_line_reference(tmp_path, n_channels):
+    path = tmp_path / "map.txt"
+    for seed in range(3):
+        graph = simulated_graph(n_channels, seed)
+        save_map(graph, path)
+        assert_same_graph(load_map(path), graph)
+        path.write_text(scrambled(path.read_text(), seed))
+        loaded = load_map(path)
+        assert_same_graph(loaded, reference_load(path))
+        assert_same_graph(loaded, graph)
+
+
+@pytest.mark.parametrize("id_token, number", [
+    ("5", "5"), ("+5", "+5"), ("05", "05"), ("-0", ".5"), ("5", "5."),
+    ("5", "+.5e+1"), ("5", "1E1"), ("5", "1e-320"), ("5", "4.9e-324"),
+    ("-9223372036854775808", "0.1000000000000000055511151231257827"),
+    ("9223372036854775807", "1.7976931348623157e308")])
+def test_number_spellings_match_python(tmp_path, id_token, number):
+    path = tmp_path / "map.txt"
+    path.write_text(f"localmap 1 1 1 1\nframe {id_token} {number} 0 {number}\n"
+                    f"landmark {id_token}\nedge {id_token} {id_token} {number} 1\n")
+    assert_same_graph(load_map(path), reference_load(path))
+
+
+def test_map_without_edges_loads_without_a_warning(tmp_path):
+    path = tmp_path / "map.txt"
+    path.write_text("localmap 1 1 0 3\nframe 0 1.0 2.0 3.0\nlandmark 3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        graph = load_map(path)
+    assert graph.frames == {0: (1.0, 2.0, 3.0)} and graph.landmarks == {3: None}
+    assert graph.edges.shape == (0,) and graph.edges.dtype == LocalMapGraph(3).edges.dtype
 
 
 def test_load_rejects_bad_header(tmp_path):
