@@ -179,13 +179,29 @@ def _fog_problem(n_params: int, d: np.ndarray, L: np.ndarray, slot: np.ndarray,
     slot form: (beta, l_inf) are global and row i depends on the one local
     parameter lc[slot[i]]. ``fields`` are the remaining ResidualProblem
     fields (weights, Huber width, bounds)."""
+    lc = slot + 2
+    # The solver evaluates the Jacobian at the trial point it just accepted,
+    # so residual and Jacobian share exp(-beta d). The key is beta's value:
+    # a caller may pass the same array again after editing it in place.
+    cached = [math.nan, None]
+
+    def transmission(beta: float) -> np.ndarray:
+        if beta != cached[0]:
+            cached[:] = beta, np.exp(-beta * d)
+        return cached[1]
+
     def residual(x: np.ndarray) -> np.ndarray:
-        t = np.exp(-x[0] * d)
-        return L - ((x[slot + 2] - x[1]) * t + x[1])
+        t = transmission(float(x[0]))
+        return L - ((x[lc] - x[1]) * t + x[1])
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        t = np.exp(-x[0] * d)
-        return np.column_stack((d * (x[slot + 2] - x[1]) * t, t - 1.0, -t))
+        t = transmission(float(x[0]))
+        J = np.empty((d.size, 3))
+        np.multiply(d, x[lc] - x[1], out=J[:, 0])
+        J[:, 0] *= t
+        np.subtract(t, 1.0, out=J[:, 1])
+        np.negative(t, out=J[:, 2])
+        return J
     return ResidualProblem(n_params, residual, jacobian, slot=slot, n_global=2,
                            **fields)
 

@@ -128,9 +128,23 @@ class SolveReport:
     params: np.ndarray
     cost: float
     iterations: int
-    reason: str                  # "gradient" | "step" | "max-iter"
+    reason: str                  # "gradient" | "step" | "max-iter", see the module docstring
     residuals: np.ndarray        # raw residuals at the solution
-    projected_init: bool = False
+
+
+def _huber_root(raw: np.ndarray, delta: float):
+    """The square root of the Huber loss of each raw residual, and the mask
+    of residuals outside the quadratic zone."""
+    absr = np.abs(raw)
+    outside = absr > delta
+    return np.sqrt(np.where(outside, 2.0 * delta * absr - delta * delta, raw * raw)), outside
+
+
+def _huber_factor(root: np.ndarray, outside: np.ndarray, delta: float) -> np.ndarray:
+    """Jacobian row factors for the roots and mask of :func:`_huber_root`."""
+    factor = np.ones_like(root)
+    np.divide(delta, root, out=factor, where=outside)
+    return factor
 
 
 def robust_scale(raw: np.ndarray, delta: Optional[float] = None):
@@ -146,34 +160,26 @@ def robust_scale(raw: np.ndarray, delta: Optional[float] = None):
         return raw, np.ones_like(raw)
     if not delta > 0:
         raise ValueError("huber delta must be positive")
-    absr = np.abs(raw)
-    outside = absr > delta
-    value = np.where(outside, 2.0 * delta * absr - delta * delta, raw * raw)
-    scaled = np.sign(raw) * np.sqrt(value)
-    factor = np.ones_like(value)
-    np.divide(delta, np.sqrt(value), out=factor, where=outside)
-    return scaled, factor
+    root, outside = _huber_root(raw, delta)
+    return np.copysign(root, raw), _huber_factor(root, outside, delta)
 
 
-def _evaluate(problem: ResidualProblem, x: np.ndarray, sqrt_w: np.ndarray):
-    raw = np.asarray(problem.residual(x), dtype=float)
-    scaled, factor = robust_scale(raw, problem.huber_delta)
-    rt = sqrt_w * scaled
-    return raw, rt, factor
-
-
-def _blocks(Jt: np.ndarray, rt: np.ndarray, n_global: int,
-            flat: Optional[np.ndarray], n_local: int):
-    """The arrowhead of the scaled system, as three arrays: [H_g | g_g]
-    (n_global, n_global + 1); per local parameter its coupling row and
-    gradient [B^T | g_l] (n_local, n_global + 1); and the local diagonal H_l."""
-    cols = np.hstack((Jt[:, :n_global], rt[:, None], Jt[:, n_global:]))
+def _blocks(cols: np.ndarray, n_global: int, flat: Optional[np.ndarray], n_local: int,
+            prod: Optional[np.ndarray]):
+    """The arrowhead of the scaled system, from its columns
+    ``[J_g, r, J_l]``, as three arrays: [H_g | g_g] (n_global, n_global + 1);
+    per local parameter its coupling row and gradient [B^T | g_l]
+    (n_local, n_global + 1); and the local diagonal H_l. ``prod`` is scratch
+    space of the shape of ``cols``."""
     global_block = cols[:, :n_global].T @ cols[:, :n_global + 1]
     if flat is None:
         return global_block, np.zeros((0, n_global + 1)), np.zeros(0)
     # per row: its local derivative times [global derivatives, residual,
-    # local derivative], summed per local parameter
-    sums = np.bincount(flat, (cols[:, -1:] * cols).ravel(), n_local * (n_global + 2))
+    # local derivative], summed per local parameter. Column by column, as
+    # numpy loops slowly over rows of a few columns.
+    for k in range(n_global + 2):
+        np.multiply(cols[:, -1], cols[:, k], out=prod[:, k])
+    sums = np.bincount(flat, prod.ravel(), n_local * (n_global + 2))
     sums = sums.reshape(n_local, n_global + 2)
     return global_block, sums[:, :-1], sums[:, -1]
 
@@ -212,17 +218,22 @@ def _cholesky_solve(m: list) -> Optional[list]:
 
 def solve(problem: ResidualProblem, x0: np.ndarray,
           max_iterations: int = 100) -> SolveReport:
-    """Run projected LM from ``x0``. Accepted iterates never increase cost."""
+    """Run projected LM from ``x0``. Accepted iterates never increase cost.
+
+    ``problem.residual`` is called once for the residual count, once at the
+    start point and once per trial point; ``problem.jacobian`` once at the
+    start point and once per accepted step.
+    """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.n_params,):
         raise ValueError("x0 must have one entry per parameter")
     lo, hi = problem.lower, problem.upper
     x = np.clip(x0, lo, hi)
-    projected_init = bool(np.any(x != x0))
+    delta = problem.huber_delta
 
     n_res = np.asarray(problem.residual(x)).shape[0]
     if problem.weights is None:
-        sqrt_w = np.ones(n_res)
+        sqrt_w = None                   # unit weights: skip the products
     else:
         if problem.weights.shape != (n_res,):
             raise ValueError("weights must have one entry per residual")
@@ -230,22 +241,52 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
     n_global = problem.n_global
     n_local = problem.n_params - n_global
     if problem.slot is None:
-        flat = None
+        flat = prod = None
     else:
         if problem.slot.shape != (n_res,):
             raise ValueError("slot must have one entry per residual")
         # row i's sums land in bins slot[i] * (n_global + 2) + column
         flat = (problem.slot[:, None] * (n_global + 2)
                 + np.arange(n_global + 2)).ravel()
+    # the scaled system's columns [J_g, r, J_l], rewritten per accepted step
+    cols = np.empty((n_res, n_global + 1 + (flat is not None)))
+    if flat is not None:
+        prod = np.empty_like(cols)
 
-    raw, rt, factor = _evaluate(problem, x, sqrt_w)
+    def evaluate(x):
+        """Raw and scaled residuals at ``x``, and what the Huber row factors
+        need; the cost is the scaled residuals' squared norm."""
+        raw = np.asarray(problem.residual(x), dtype=float)
+        if delta is None:
+            scaled, huber = raw, None
+        else:
+            root, outside = huber = _huber_root(raw, delta)
+            scaled = np.copysign(root, raw)
+        return raw, (scaled if sqrt_w is None else sqrt_w * scaled), huber
+
+    def fill_columns(J, rt, huber):
+        """Write the scaled Jacobian and residuals into ``cols``."""
+        if huber is None:
+            scale = sqrt_w
+        else:
+            factor = _huber_factor(*huber, delta)
+            scale = factor if sqrt_w is None else sqrt_w * factor
+        for k in range(J.shape[1]):
+            col = cols[:, k + (k >= n_global)]
+            if scale is None:
+                col[:] = J[:, k]
+            else:
+                np.multiply(scale, J[:, k], out=col)
+        cols[:, n_global] = rt
+
+    raw, rt, huber = evaluate(x)
     J = np.asarray(problem.jacobian(x), dtype=float)
     if J.shape != (n_res, n_global + (flat is not None)):
         raise ValueError("jacobian shape must be (n_residuals, n_params), or "
                          "(n_residuals, n_global + 1) with slot")
     if not (np.all(np.isfinite(rt)) and np.all(np.isfinite(J))):
         raise NumericError("non-finite residual or Jacobian at the start point")
-    Jt = (sqrt_w * factor)[:, None] * J
+    fill_columns(J, rt, huber)
     cost = float(rt @ rt)
 
     lam = _INIT_DAMPING
@@ -253,7 +294,7 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
     reason = "max-iter"
     for _ in range(max_iterations):
         iterations += 1
-        global_block, local_rows, H_local = _blocks(Jt, rt, n_global, flat, n_local)
+        global_block, local_rows, H_local = _blocks(cols, n_global, flat, n_local, prod)
         g = np.concatenate((global_block[:, -1], local_rows[:, -1]))
         if np.abs(g).max() < _GRADIENT_TOL:
             reason = "gradient"
@@ -274,11 +315,13 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
             if neg_global is None:
                 lam *= 10.0
                 continue
-            # s_l = -(g_l + B^T s_g) / D
-            s_local = (local_rows @ (neg_global + [-1.0])) / D
-            step = np.concatenate(([-v for v in neg_global], s_local))
-            x_new = np.minimum(np.maximum(x + step, lo), hi)   # np.clip, minus its wrapper
-            raw_new, rt_new, factor_new = _evaluate(problem, x_new, sqrt_w)
+            # x + s projected on the box, with s_l = -(g_l + B^T s_g) / D
+            x_new = np.empty_like(x)
+            np.subtract(x[:n_global], neg_global, out=x_new[:n_global])
+            np.add(x[n_global:], (local_rows @ (neg_global + [-1.0])) / D,
+                   out=x_new[n_global:])
+            np.minimum(np.maximum(x_new, lo, out=x_new), hi, out=x_new)
+            raw_new, rt_new, huber_new = evaluate(x_new)
             cost_new = float(rt_new @ rt_new)   # not finite if any residual is not
             if cost_new < cost:
                 accepted = True
@@ -289,19 +332,19 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
             break
 
         step_size = float(np.max(np.abs(x_new - x)))
-        x, raw, rt, cost = x_new, raw_new, rt_new, cost_new
+        x, raw, cost = x_new, raw_new, cost_new
         J = np.asarray(problem.jacobian(x), dtype=float)
         if not np.all(np.isfinite(J)):
             reason = "step"
             break
-        Jt = (sqrt_w * factor_new)[:, None] * J
+        fill_columns(J, rt_new, huber_new)
         lam = max(lam / 10.0, _DAMPING_FLOOR)
         if step_size < _STEP_TOL * (np.max(np.abs(x)) + _STEP_TOL):
             reason = "step"
             break
 
     return SolveReport(params=x, cost=cost, iterations=iterations,
-                       reason=reason, residuals=raw, projected_init=projected_init)
+                       reason=reason, residuals=raw)
 
 
 def check_jacobian(problem: ResidualProblem, x: np.ndarray) -> float:
