@@ -30,6 +30,20 @@ which is the damped dense step, so a trial solves an n_global-sized
 symmetric positive definite system and all else is O(N). A dense problem is
 the case with no local parameters (B empty, S the whole damped matrix).
 
+A solve stops for one of four reasons, which ``SolveReport.reason`` names:
+
+    "gradient"  the largest gradient entry is below 1e-10 (``_GRADIENT_TOL``)
+                at the current point, which is then a stationary point
+    "step"      the accepted step moved no parameter by more than 1e-12
+                relative (``_STEP_TOL``), no damping up to 1e15 gave a trial
+                that lowers the cost, or the Jacobian at the accepted point
+                is not finite
+    "cost"      the accepted step lowered the cost by at most 1e-10 of its
+                value before the step (``_COST_TOL``), MINPACK's relative
+                reduction test (More, 1978)
+    "max-iter"  the iteration cap was reached first; the fit may be far from
+                converged
+
 Huber convention, for width delta:
 
     loss(r) = r**2                          for |r| <= delta
@@ -51,6 +65,7 @@ _DAMPING_FLOOR = 1e-12
 _DAMPING_CEILING = 1e15
 _GRADIENT_TOL = 1e-10
 _STEP_TOL = 1e-12
+_COST_TOL = 1e-10
 
 
 @dataclass
@@ -128,7 +143,7 @@ class SolveReport:
     params: np.ndarray
     cost: float
     iterations: int
-    reason: str                  # "gradient" | "step" | "max-iter", see the module docstring
+    reason: str                  # "gradient" | "step" | "cost" | "max-iter" (module docstring)
     residuals: np.ndarray        # raw residuals at the solution
 
 
@@ -332,16 +347,20 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
             break
 
         step_size = float(np.max(np.abs(x_new - x)))
+        small_reduction = cost - cost_new <= _COST_TOL * cost
         x, raw, cost = x_new, raw_new, cost_new
         J = np.asarray(problem.jacobian(x), dtype=float)
         if not np.all(np.isfinite(J)):
             reason = "step"
             break
-        fill_columns(J, rt_new, huber_new)
-        lam = max(lam / 10.0, _DAMPING_FLOOR)
         if step_size < _STEP_TOL * (np.max(np.abs(x)) + _STEP_TOL):
             reason = "step"
             break
+        if small_reduction:
+            reason = "cost"
+            break
+        fill_columns(J, rt_new, huber_new)
+        lam = max(lam / 10.0, _DAMPING_FLOOR)
 
     return SolveReport(params=x, cost=cost, iterations=iterations,
                        reason=reason, residuals=raw)

@@ -214,6 +214,23 @@ def test_stop_reasons():
     assert report.reason == "gradient"   # already at the optimum
 
 
+def test_small_relative_cost_reduction_stops_after_the_step():
+    # a constant residual of 1e3 holds the cost near 1e6, so the first
+    # accepted step, which removes ~1e-6 of it, lowers the cost by ~1e-12
+    # relative: the solve stops on "cost" right after that step
+    problem = ResidualProblem(
+        n_params=1,
+        residual=lambda x: np.array([x[0] - 3.0, 1e3]),
+        jacobian=lambda x: np.array([[1.0], [0.0]]))
+    calls = counting(problem)
+    report = solve(problem, np.array([3.001]))
+    assert report.reason == "cost"
+    assert report.iterations == 1
+    assert 0.0 < 1e6 + 1e-6 - report.cost <= 1e-10 * (1e6 + 1e-6)
+    assert abs(report.params[0] - 3.0) < 1e-5
+    assert calls == {"residual": 3, "jacobian": 2}
+
+
 # --- arrowhead step against the dense damped step ---------------------------------
 
 def random_fog_problem(rng, n_landmarks=12, n_frames=5, subset=False):
@@ -312,3 +329,27 @@ def test_callback_calls_per_iteration(form):
     # one iteration whose first trial lowered the cost
     assert report.reason == "max-iter"
     assert calls == {"residual": 3, "jacobian": 2}
+
+
+def test_fog_callbacks_match_a_fresh_problem_bitwise():
+    # residual and Jacobian share exp(-beta d) through a cache keyed on the
+    # value of beta, so any call order, including calls on one array edited
+    # in place, gives what a freshly built problem gives
+    obs, x0, rows, fields = random_fog_problem(np.random.default_rng(3))
+    problem = fog_slot_problem(obs, x0, rows, fields)
+    x1, x2 = x0.copy(), x0 + 0.5
+    x2[0] = 0.05
+    x = x1.copy()
+
+    def edit():
+        x[0], x[4] = x2[0], x[4] + 1.0
+
+    for step in (("residual", x2), ("jacobian", x1), ("residual", x), edit,
+                 ("jacobian", x), ("residual", x), ("jacobian", x2), ("residual", x1)):
+        if callable(step):
+            step()
+            continue
+        name, arg = step
+        got = getattr(problem, name)(arg)
+        want = getattr(fog_slot_problem(obs, x0, rows, fields), name)(arg.copy())
+        assert got.tobytes() == want.tobytes()
