@@ -85,13 +85,24 @@ class LocalMapGraph:
         table = np.empty(n_edges, _edge_dtype(n_channels))
         table["frame"], table["landmark"] = frame, landmark
         table["distance"], table["intensity"] = distance, intensity
-        order = np.lexsort((table["landmark"], table["frame"]))
-        table = table[order]
+        return cls._from_table(table, frames, landmarks)
+
+    @classmethod
+    def _from_table(cls, table: np.ndarray, frames=None, landmarks=None) -> "LocalMapGraph":
+        """:meth:`from_edges` of an edge table of ``_edge_dtype``, which the
+        graph takes over; rows are sorted only when out of order."""
         frame, landmark = table["frame"], table["landmark"]
+        order = None
+        if not np.all((frame[:-1] < frame[1:])
+                      | ((frame[:-1] == frame[1:]) & (landmark[:-1] <= landmark[1:]))):
+            order = np.lexsort((landmark, frame))
+            table = table[order]
+            frame, landmark = table["frame"], table["landmark"]
         distance, intensity = table["distance"], table["intensity"]
         # the sort is stable, so a repeated pair sorts after its first sighting
-        repeat = np.zeros(n_edges, dtype=bool)
-        repeat[1:] = (frame[1:] == frame[:-1]) & (landmark[1:] == landmark[:-1])
+        same_frame = frame[1:] == frame[:-1]
+        repeat = np.zeros(frame.size, dtype=bool)
+        repeat[1:] = same_frame & (landmark[1:] == landmark[:-1])
         problems = (
             (repeat, "duplicate of an earlier edge"),
             (~(np.isfinite(distance) & (distance > 0)), "distance must be positive and finite"),
@@ -99,12 +110,15 @@ class LocalMapGraph:
              "intensities must lie in [0, 255]"))
         bad = np.logical_or.reduce([mask for mask, _ in problems])
         if bad.any():
-            k = np.flatnonzero(bad)[np.argmin(order[bad])]
+            given = np.arange(frame.size) if order is None else order
+            k = np.flatnonzero(bad)[np.argmin(given[bad])]
             message = next(message for mask, message in problems if mask[k])
             raise EdgeError(f"edge at frame {frame[k]}, landmark {landmark[k]}: {message}",
-                            int(order[k]))
-        return cls(n_channels,
-                   {**dict.fromkeys(np.unique(frame).tolist()), **(frames or {})},
+                            int(given[k]))
+        first_of_frame = np.ones(frame.size, dtype=bool)
+        first_of_frame[1:] = ~same_frame
+        return cls(table.dtype["intensity"].shape[0],
+                   {**dict.fromkeys(frame[first_of_frame].tolist()), **(frames or {})},
                    {**dict.fromkeys(np.unique(landmark).tolist()), **(landmarks or {})},
                    table)
 
@@ -343,8 +357,7 @@ def load_map(path) -> LocalMapGraph:
         raise MapFormatError("empty file: missing localmap header")
     edges = _parse_edges(edge_fields, edge_lines, nc)
     try:
-        graph = LocalMapGraph.from_edges(edges["frame"], edges["landmark"], edges["distance"],
-                                         edges["intensity"], nc, frames, landmarks)
+        graph = LocalMapGraph._from_table(edges, frames, landmarks)
     except EdgeError as exc:
         raise MapFormatError(str(exc), edge_lines[exc.row]) from exc
     counts = (len(graph.frames), len(graph.landmarks), len(graph.edges))

@@ -159,6 +159,10 @@ def test_edge_table_validation():
         with pytest.raises(EdgeError, match=match) as info:
             graph_of(good + [edge, (3, 3, -1.0, [1.0])])
         assert info.value.row == 2      # the first bad row, in the order given
+        # rows already in (frame, landmark) order are not sorted again
+        with pytest.raises(EdgeError, match=match) as info:
+            graph_of([good[1], edge, good[0], (3, 3, -1.0, [1.0])])
+        assert info.value.row == 1
     with pytest.raises(ValueError, match="intensities"):
         graph_of([(0, 1, 5.0, [1.0, 2.0])])
 

@@ -7,8 +7,11 @@ round trip. Ranges are chosen to stay clear of float underflow, which would
 otherwise break strictness artificially.
 """
 
+import atexit
+import itertools
 import math
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -38,7 +41,14 @@ gamma_map_st = st.builds(
     gamma=st.floats(0.2, 5.0, **finite),
     zeta=st.floats(-10.0, 10.0, **finite))
 
+# Each round-trip example writes its own file: on ext4, reopening a file
+# for writing while its last contents are still unwritten waits for that
+# writeback (tens of ms), which over 1000 examples dwarfs the suite itself.
+# Acceptance criterion 9 calls the suites outside pytest, so the directory
+# goes at interpreter exit rather than in a module teardown.
 _MAP_DIR = tempfile.mkdtemp(prefix="foglab-prop-")
+atexit.register(shutil.rmtree, _MAP_DIR, ignore_errors=True)
+_map_names = (f"roundtrip{k}.map" for k in itertools.count())
 
 
 @CASES
@@ -150,7 +160,7 @@ def test_map_format_round_trip(edges, positions):
     g = LocalMapGraph.from_edges(frame, landmark, distance, np.array(level)[:, None])
     for pos, m in zip(positions, sorted(g.frames)):
         g.frames[m] = pos
-    path = os.path.join(_MAP_DIR, "roundtrip.map")
+    path = os.path.join(_MAP_DIR, next(_map_names))
     save_map(g, path)
     loaded = load_map(path)
     assert np.array_equal(loaded.edges, g.edges)
