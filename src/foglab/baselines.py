@@ -102,23 +102,24 @@ def estimate_a_modified(image: np.ndarray, radius: int = DARK_CHANNEL_RADIUS):
 
 def pairwise_betas(obs: ObservationSet, a: float,
                    config: HistogramConfig = HistogramConfig()) -> np.ndarray:
-    """All valid pairwise beta values from intensity-domain observations."""
-    values = []
-    distances, levels = obs.distance.tolist(), obs.radiance.tolist()
-    for first, last in zip(obs.near.tolist(), obs.far.tolist()):
-        for i in range(first, last + 1):
-            for j in range(i + 1, last + 1):
-                d1, d2 = distances[i], distances[j]
-                if abs(1.0 / d1 - 1.0 / d2) < config.min_inverse_depth_gap:
-                    continue
-                num = levels[j] - a
-                den = levels[i] - a
-                if num == 0 or den == 0 or (num > 0) != (den > 0):
-                    continue
-                b = math.log(num / den) / (d1 - d2)
-                if math.isfinite(b):
-                    values.append(b)
-    return np.array(values)
+    """All valid pairwise beta values from intensity-domain observations,
+    over each landmark's row pairs i < j in (landmark, i, j) order; pairs at
+    equal distance carry no beta and are skipped."""
+    if np.ndim(a) or not math.isfinite(a):
+        raise ValueError(f"pairwise betas take one finite atmospheric value, got {a}")
+    n = obs.n_observations
+    partners = obs.far[obs.slot] - np.arange(n)
+    i = np.repeat(np.arange(n), partners)
+    # j runs from i + 1 to the last row of i's landmark
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(partners) - partners, partners)
+    d1, d2 = obs.distance[i], obs.distance[j]
+    num, den = obs.radiance[j] - a, obs.radiance[i] - a
+    keep = ((np.abs(1.0 / d1 - 1.0 / d2) >= config.min_inverse_depth_gap) & (d1 != d2)
+            & (num != 0) & (den != 0) & ((num > 0) == (den > 0)))
+    # math.log, not np.log: np.log differs in the last bit on some ratios
+    logs = np.array([math.log(r) for r in (num[keep] / den[keep]).tolist()])
+    values = logs / (d1[keep] - d2[keep])
+    return values[np.isfinite(values)]
 
 
 def estimate_beta_histogram(obs: ObservationSet, a: float,
@@ -149,16 +150,3 @@ def dump_histogram(path, centers: np.ndarray, counts: np.ndarray) -> None:
         fh.write("# bin_center count\n")
         for c, k in zip(centers, counts):
             fh.write(f"{float(c)!r} {int(k)}\n")
-
-
-def load_histogram(path):
-    centers, counts = [], []
-    with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            c, k = line.split()
-            centers.append(float(c))
-            counts.append(int(k))
-    return np.array(centers), np.array(counts, dtype=int)

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateDataError, MapFormatError, NotEnoughDataError
-from .localmap import ObservationSet
+from .localmap import ObservationSet, sort_pairs
 from .optimizer import ResidualProblem, SolveReport, solve
 from .photometry import GammaMap, compress, expand
 from .scattering import visibility_from_beta
@@ -68,12 +68,20 @@ class FogEstimate:
         return visibility_from_beta(self.beta)
 
 
+INLIER_COUNT_DTYPE = np.dtype([("frame", np.int64), ("landmark", np.int64),
+                               ("count", np.int64)])
+
+
 @dataclass
 class EstimatorState:
-    """Carried across sequential updates by one caller."""
+    """Carried across sequential updates by one caller: ``previous``, the
+    last estimate, and ``inlier_counts``, an array of ``INLIER_COUNT_DTYPE``
+    with one row per sighting (``frame``, ``landmark``) that was a stage-1
+    inlier and ``count``, in how many updates; unique, sorted by the pair."""
 
     previous: Optional[FogEstimate] = None
-    inlier_counts: dict[tuple[int, int], int] = field(default_factory=dict)
+    inlier_counts: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, INLIER_COUNT_DTYPE))
 
 
 @dataclass
@@ -155,14 +163,33 @@ def initialize(obs: ObservationSet, state: EstimatorState, bounds: Bounds) -> np
     return np.clip(x, bounds.lower, bounds.upper)
 
 
-def compute_weights(obs: ObservationSet, x: np.ndarray,
-                    inlier_counts: dict[tuple[int, int], int]) -> np.ndarray:
+def compute_weights(obs: ObservationSet, x: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Stage-1 confidence weights, one per observation row, from the
-    contrast |lc - l_inf| of each landmark in the parameter vector ``x``."""
+    contrast |lc - l_inf| of each landmark in the parameter vector ``x`` and
+    each row's inlier count ``counts``."""
     contrast = np.abs(x[2:] - x[1])
-    counts = np.array([inlier_counts.get(key, 0) for key in
-                       zip(obs.frame.tolist(), obs.landmark.tolist())], dtype=float)
     return contrast[obs.slot] * (counts + 1)
+
+
+def _join_inlier_counts(table: np.ndarray, obs: ObservationSet):
+    """``(pairs, row_pair, current)``: every (frame, landmark) pair of
+    ``table`` or ``obs`` once, sorted, with its count in ``table`` (0 if
+    absent); the index into ``pairs`` of each row of ``obs``; and which
+    pairs have their frame in ``obs``. One sort of both serves the join."""
+    frame = np.concatenate((table["frame"], obs.frame))
+    landmark = np.concatenate((table["landmark"], obs.landmark))
+    order, same_frame, same_pair = sort_pairs(frame, landmark)
+    first = ~same_pair
+    pair_of = np.empty(frame.size, dtype=np.intp)
+    pair_of[order] = np.cumsum(first) - 1
+    pairs = np.zeros(np.count_nonzero(first), INLIER_COUNT_DTYPE)
+    pairs["frame"], pairs["landmark"] = frame[order][first], landmark[order][first]
+    pairs["count"][pair_of[:table.size]] = table["count"]
+    row_pair = pair_of[table.size:]
+    frame_rank = (np.cumsum(~same_frame) - 1)[first]   # of each pair's frame
+    current = np.zeros(pairs.size, dtype=bool)
+    current[frame_rank[row_pair]] = True               # frames with observation rows
+    return pairs, row_pair, current[frame_rank]
 
 
 def huber_delta_radiance(gmap: GammaMap, delta_intensity: float) -> float:
@@ -227,7 +254,10 @@ def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
     Raises NotEnoughDataError when fewer than ``xi_k`` landmarks qualify and
     DegenerateDataError when no landmark has any distance spread. An empty
     stage-1 inlier set skips stage 2 and flags the result as degraded.
-    Inlier counts of frames outside ``obs`` are dropped from ``state``.
+    Stage-1 weights read each row's ``count`` in ``state.inlier_counts``
+    (0 if its (frame, landmark) pair is absent; see :class:`EstimatorState`);
+    then each stage-1 inlier row adds one to its pair's ``count`` (a repeated
+    pair once per row), and pairs whose frame is not in ``obs`` are dropped.
     """
     ids = obs.landmark_ids
     if len(ids) < config.xi_k:
@@ -238,12 +268,13 @@ def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
 
     bounds = derive_bounds(obs, gmap, config.eta, config.beta_bounds)
     x0 = initialize(obs, state, bounds)
+    pairs, row_pair, current = _join_inlier_counts(state.inlier_counts, obs)
     # the confidence weights read the contrasts of the start vector: the
     # previous estimate where available, this update's initialization otherwise
     if config.uniform_weights:
         w = np.ones(obs.n_observations)
     else:
-        w = compute_weights(obs, x0, state.inlier_counts)
+        w = compute_weights(obs, x0, pairs["count"][row_pair])
 
     delta_l = huber_delta_radiance(gmap, config.delta)
     stage1 = solve(
@@ -252,11 +283,9 @@ def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
         x0)
 
     inlier = np.abs(stage1.residuals) <= delta_l
-    counts = state.inlier_counts
-    for key in zip(obs.frame[inlier].tolist(), obs.landmark[inlier].tolist()):
-        counts[key] = counts.get(key, 0) + 1
-    frames = set(obs.frame.tolist())
-    state.inlier_counts = {key: c for key, c in counts.items() if key[0] in frames}
+    # bincount, not fancy +=, so a pair with two inlier rows counts twice
+    pairs["count"] += np.bincount(row_pair[inlier], minlength=pairs.size)
+    state.inlier_counts = pairs[current & (pairs["count"] > 0)]
 
     stage2 = None
     degraded = False
@@ -304,12 +333,13 @@ def parse_estimate_record(line: str) -> dict:
         key, val = token.split("=", 1)
         if key not in RECORD_FIELDS:
             raise MapFormatError(f"unknown record field {key!r}")
-        if key == "channel":
-            out[key] = val
-        elif key in ("frame", "degraded"):
-            out[key] = int(val)
-        else:
-            out[key] = float(val)
+        if key in out:
+            raise MapFormatError(f"repeated record field {key!r}")
+        convert = {"channel": str, "frame": int, "degraded": int}.get(key, float)
+        try:
+            out[key] = convert(val)
+        except ValueError as exc:
+            raise MapFormatError(f"bad record field {key!r}: {exc}") from exc
     missing = [k for k in RECORD_FIELDS if k not in out]
     if missing:
         raise MapFormatError(f"record missing fields {missing}")

@@ -290,21 +290,6 @@ def write_scenario_csv(path, rows: list[ScenarioRow]) -> None:
                              repr(r.a_gt), repr(r.a_est), int(r.failed)])
 
 
-def load_scenario_csv(path) -> list[ScenarioRow]:
-    rows = []
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != SCENARIO_CSV_FIELDS:
-            raise ValueError(f"unexpected scenario csv header {header}")
-        for rec in reader:
-            rows.append(ScenarioRow(float(rec[0]), int(rec[1]), rec[2],
-                                    float(rec[3]), float(rec[4]),
-                                    float(rec[5]), float(rec[6]),
-                                    bool(int(rec[7]))))
-    return rows
-
-
 def write_summary_csv(path, summary: dict[tuple[str, str], MetricsReport]) -> None:
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
@@ -313,18 +298,3 @@ def write_summary_csv(path, summary: dict[tuple[str, str], MetricsReport]) -> No
             writer.writerow([method, param, repr(m.rmse), repr(m.rmse_rel),
                              repr(m.mae), repr(m.mae_rel),
                              repr(m.sd), repr(m.sd_rel), m.n])
-
-
-def load_summary_csv(path) -> dict[tuple[str, str], MetricsReport]:
-    summary = {}
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != SUMMARY_CSV_FIELDS:
-            raise ValueError(f"unexpected summary csv header {header}")
-        for rec in reader:
-            summary[(rec[0], rec[1])] = MetricsReport(
-                rmse=float(rec[2]), rmse_rel=float(rec[3]),
-                mae=float(rec[4]), mae_rel=float(rec[5]),
-                sd=float(rec[6]), sd_rel=float(rec[7]), n=int(rec[8]))
-    return summary

@@ -37,6 +37,22 @@ def _edge_dtype(n_channels: int) -> np.dtype:
                      ("intensity", float, (n_channels,))])
 
 
+def sort_pairs(frame: np.ndarray, landmark: np.ndarray):
+    """Stable sort of rows by (frame, landmark): the order (``slice(None)``
+    if they are in order already) and masks over the sorted rows of those
+    that repeat the previous row's frame, and its (frame, landmark) pair."""
+    order = slice(None)
+    if not np.all((frame[:-1] < frame[1:])
+                  | ((frame[:-1] == frame[1:]) & (landmark[:-1] <= landmark[1:]))):
+        order = np.lexsort((landmark, frame))
+    frame, landmark = frame[order], landmark[order]
+    same_frame = np.zeros(frame.size, dtype=bool)
+    same_frame[1:] = frame[1:] == frame[:-1]
+    same_pair = same_frame.copy()
+    same_pair[1:] &= landmark[1:] == landmark[:-1]
+    return order, same_frame, same_pair
+
+
 class EdgeError(ValueError):
     """An invalid edge; ``row`` is its index in the columns it was given in."""
 
@@ -91,18 +107,10 @@ class LocalMapGraph:
     def _from_table(cls, table: np.ndarray, frames=None, landmarks=None) -> "LocalMapGraph":
         """:meth:`from_edges` of an edge table of ``_edge_dtype``, which the
         graph takes over; rows are sorted only when out of order."""
+        order, same_frame, repeat = sort_pairs(table["frame"], table["landmark"])
+        table = table[order]
         frame, landmark = table["frame"], table["landmark"]
-        order = None
-        if not np.all((frame[:-1] < frame[1:])
-                      | ((frame[:-1] == frame[1:]) & (landmark[:-1] <= landmark[1:]))):
-            order = np.lexsort((landmark, frame))
-            table = table[order]
-            frame, landmark = table["frame"], table["landmark"]
         distance, intensity = table["distance"], table["intensity"]
-        # the sort is stable, so a repeated pair sorts after its first sighting
-        same_frame = frame[1:] == frame[:-1]
-        repeat = np.zeros(frame.size, dtype=bool)
-        repeat[1:] = same_frame & (landmark[1:] == landmark[:-1])
         problems = (
             (repeat, "duplicate of an earlier edge"),
             (~(np.isfinite(distance) & (distance > 0)), "distance must be positive and finite"),
@@ -110,15 +118,13 @@ class LocalMapGraph:
              "intensities must lie in [0, 255]"))
         bad = np.logical_or.reduce([mask for mask, _ in problems])
         if bad.any():
-            given = np.arange(frame.size) if order is None else order
+            given = np.arange(frame.size)[order]
             k = np.flatnonzero(bad)[np.argmin(given[bad])]
             message = next(message for mask, message in problems if mask[k])
             raise EdgeError(f"edge at frame {frame[k]}, landmark {landmark[k]}: {message}",
                             int(given[k]))
-        first_of_frame = np.ones(frame.size, dtype=bool)
-        first_of_frame[1:] = ~same_frame
         return cls(table.dtype["intensity"].shape[0],
-                   {**dict.fromkeys(frame[first_of_frame].tolist()), **(frames or {})},
+                   {**dict.fromkeys(frame[~same_frame].tolist()), **(frames or {})},
                    {**dict.fromkeys(np.unique(landmark).tolist()), **(landmarks or {})},
                    table)
 

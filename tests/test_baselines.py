@@ -7,8 +7,7 @@ import pytest
 
 from foglab.baselines import (HistogramConfig, dark_channel, dump_histogram,
                               estimate_a_modified, estimate_a_original,
-                              estimate_beta_histogram, load_histogram,
-                              pairwise_betas)
+                              estimate_beta_histogram, pairwise_betas)
 from foglab.errors import NotEnoughDataError
 from foglab.localmap import Observation, ObservationSet
 from foglab.scattering import IntensityFogParams, synthesize_fog_image
@@ -129,6 +128,65 @@ def test_pairwise_beta_all_pairs_within_landmark():
     assert values == pytest.approx([0.05] * 3, rel=1e-10)
 
 
+def test_pairwise_beta_skips_pairs_at_equal_distance():
+    # with no inverse-depth gap, two sightings at 50 m would divide by zero
+    a, beta, j = 200.0, 0.05, 40.0
+    obs = obs_set({0: [(50.0, 150.0), (50.0, 151.0), (100.0, intensity(j, a, beta, 100.0))]})
+    values = pairwise_betas(obs, a, HistogramConfig(min_inverse_depth_gap=0.0))
+    assert values.size == 2
+    assert np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("a", [np.array([204.0, 200.0, 196.0]), math.inf, math.nan])
+def test_pairwise_beta_needs_one_finite_atmospheric_value(a):
+    obs = obs_set({0: [(10.0, 100.0), (100.0, 150.0)]})
+    with pytest.raises(ValueError, match="one finite atmospheric value"):
+        pairwise_betas(obs, a)
+
+
+def reference_pairwise_betas(obs, a, config):
+    """The nested loop over each landmark's row pairs i < j, plus the skip
+    of pairs at equal distance."""
+    values = []
+    distances, levels = obs.distance.tolist(), obs.radiance.tolist()
+    for first, last in zip(obs.near.tolist(), obs.far.tolist()):
+        for i in range(first, last + 1):
+            for j in range(i + 1, last + 1):
+                d1, d2 = distances[i], distances[j]
+                if d1 == d2 or abs(1.0 / d1 - 1.0 / d2) < config.min_inverse_depth_gap:
+                    continue
+                num = levels[j] - a
+                den = levels[i] - a
+                if num == 0 or den == 0 or (num > 0) != (den > 0):
+                    continue
+                b = math.log(num / den) / (d1 - d2)
+                if math.isfinite(b):
+                    values.append(b)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.0])
+def test_pairwise_betas_match_the_nested_loop(tau):
+    """Bitwise and in order, on levels around ``a``, half of them quantized
+    (zeros and sign flips), and distances with ties. Thousands of pairs, so
+    that ``np.log`` in place of ``math.log`` would show."""
+    rng = np.random.default_rng(5)
+    config = HistogramConfig(min_inverse_depth_gap=tau)
+    for trial in range(20):
+        n_landmarks = rng.integers(1, 12)
+        landmark = np.repeat(np.arange(n_landmarks), rng.integers(1, 25, n_landmarks))
+        n = landmark.size
+        tied = rng.choice([12.0, 20.0, 50.0, 50.0, 90.0], n)
+        distance = np.where(rng.random(n) < 0.5, tied, rng.uniform(5.0, 150.0, n))
+        level = rng.uniform(150.0, 255.0, n)
+        level = np.where(rng.random(n) < 0.5, np.round(level), level)
+        obs = ObservationSet.from_columns(np.arange(n), landmark, distance, level)
+        for a in (204.0, 204.5):
+            got = pairwise_betas(obs, a, config)
+            want = reference_pairwise_betas(obs, a, config)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (trial, a)
+
+
 def test_histogram_vote_recovers_beta_within_half_bin():
     a, beta, j = 200.0, 0.1, 50.0
     groups = {n: [(d, intensity(j + n, a, beta, d)) for d in (10.0, 40.0, 90.0)]
@@ -204,5 +262,5 @@ def test_histogram_dump_load_round_trip(tmp_path):
     counts = np.array([3, 17, 4])
     path = tmp_path / "hist.txt"
     dump_histogram(path, centers, counts)
-    c, k = load_histogram(path)
-    assert np.array_equal(c, centers) and np.array_equal(k, counts)
+    table = np.loadtxt(path, ndmin=2)
+    assert np.array_equal(table[:, 0], centers) and np.array_equal(table[:, 1], counts)

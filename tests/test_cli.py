@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from foglab.baselines import load_histogram
 from foglab.cli import _load_gamma, cli_main
 from foglab.errors import MapFormatError
 from foglab.estimator import (EstimatorState, estimate, format_estimate_record,
@@ -131,8 +130,7 @@ def test_baseline_from_image_and_map(tmp_path, capsys):
                "--hist-out", hist_path) == 0
     out = capsys.readouterr().out
     assert "a_original=" in out and "beta=" in out
-    centers, counts = load_histogram(hist_path)
-    assert counts.sum() > 0
+    assert np.loadtxt(hist_path, ndmin=2)[:, 1].sum() > 0
 
 
 @pytest.mark.parametrize("sample", ["300", "-4"])
@@ -176,6 +174,17 @@ def test_baseline_with_explicit_a(tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     beta = float(line.split("beta=")[1].split()[0])
     assert beta == pytest.approx(truth["beta"], abs=0.001)
+
+
+def test_baseline_without_inverse_depth_gap_skips_equal_distances(tmp_path, capsys):
+    # two sightings at 50 m: with --tau 0 their pair would divide by zero
+    map_path = tmp_path / "m.map"
+    map_path.write_text("localmap 3 1 3 1\nframe 0\nframe 1\nframe 2\nlandmark 0\n"
+                        "edge 0 0 50.0 100\nedge 1 0 50.0 110\nedge 2 0 100.0 150\n")
+    assert run("baseline", "--map", map_path, "--a", 204, "--tau", 0) == 0
+    line = capsys.readouterr().out.strip()
+    # one vote each at 0.0131 and 0.0111; the tie goes to the lower bin
+    assert float(line.split("beta=")[1].split()[0]) == pytest.approx(0.0115)
 
 
 def test_baseline_map_without_a_fails(tmp_path, capsys):
@@ -295,9 +304,9 @@ def test_experiment_histogram(tmp_path, capsys):
                "--out-bounded", out_b) == 0
     stdout = capsys.readouterr().out
     assert "unbounded_beta=" in stdout and "bounded_beta=" in stdout
-    cu, ku = load_histogram(out_u)
-    cb, kb = load_histogram(out_b)
-    assert ku.sum() > kb.sum()
+    votes_u = np.loadtxt(out_u, ndmin=2)[:, 1]
+    votes_b = np.loadtxt(out_b, ndmin=2)[:, 1]
+    assert votes_u.sum() > votes_b.sum()
 
 
 def test_experiment_recovery(tmp_path, capsys):

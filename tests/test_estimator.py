@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import foglab.estimator
 from foglab.cli import cli_main
 from foglab.errors import (DegenerateDataError, MapFormatError,
                            NotEnoughDataError)
-from foglab.estimator import (DEFAULT_BETA_INIT, EstimatorConfig,
-                              EstimatorState, FogEstimate,
-                              compute_weights, derive_bounds, estimate,
+from foglab.estimator import (DEFAULT_BETA_INIT, INLIER_COUNT_DTYPE,
+                              EstimatorConfig, EstimatorState, FogEstimate,
+                              _join_inlier_counts, compute_weights,
+                              derive_bounds, estimate,
                               format_estimate_record, huber_delta_radiance,
                               initialize, parse_estimate_record,
                               residual_and_jacobian)
@@ -136,8 +138,12 @@ def test_confidence_weights():
     obs = obs_set({0: [(10.0, 50.0), (60.0, 120.0)],
                    1: [(12.0, 90.0), (55.0, 140.0)]})
     x = np.array([0.02, 210.0, 110.0, 170.0])     # [beta, l_inf, lc0, lc1]
-    counts = {(0, 0): 3}                # frame 0 of landmark 0 seen 3 times
-    w = compute_weights(obs, x, counts)
+    # frame 0 of landmark 0 was an inlier 3 times; frame 7 is not in obs
+    table = np.array([(0, 0, 3), (7, 1, 5)], INLIER_COUNT_DTYPE)
+    pairs, row_pair, current = _join_inlier_counts(table, obs)
+    assert pairs.tolist() == [(0, 0, 3), (0, 1, 0), (1, 0, 0), (1, 1, 0), (7, 1, 5)]
+    assert current.tolist() == [True, True, True, True, False]
+    w = compute_weights(obs, x, pairs["count"][row_pair])
     # rows: (frame 0, landmark 0), (frame 1, landmark 0), (frame 0, landmark 1)...
     assert w[0] == pytest.approx(100.0 * 4)        # contrast 100, count 3
     assert w[1] == pytest.approx(100.0)
@@ -214,9 +220,10 @@ def test_estimate_mutates_state_in_place():
     result = estimate(obs, IDENT, state, EstimatorConfig())
     assert state.previous is result.estimate
     # every observation was an inlier exactly once
-    assert set(state.inlier_counts.values()) == {1}
+    assert state.inlier_counts.size == obs.n_observations
+    assert set(state.inlier_counts["count"].tolist()) == {1}
     estimate(obs, IDENT, state, EstimatorConfig())
-    assert set(state.inlier_counts.values()) == {2}
+    assert set(state.inlier_counts["count"].tolist()) == {2}
 
 
 def test_single_stage_mode():
@@ -301,8 +308,95 @@ def test_inlier_counts_stay_bounded_under_a_sliding_window():
         window = graph.frame_subset(frames[start:start + 6])
         obs = generate_dr_pairs(window, IDENT)
         estimate(obs, IDENT, state, EstimatorConfig())
-        assert len(state.inlier_counts) <= obs.n_observations
-        assert {m for m, _ in state.inlier_counts} <= set(obs.frame.tolist())
+        table = state.inlier_counts
+        assert table.size <= obs.n_observations
+        assert set(table["frame"].tolist()) <= set(obs.frame.tolist())
+
+
+# --- inlier counts against the dict they replaced ------------------------------
+
+def reference_weights(obs, x, counts):
+    """Stage-1 weights as computed from the dict {(frame, landmark): count}."""
+    contrast = np.abs(x[2:] - x[1])
+    c = np.array([counts.get(key, 0) for key in
+                  zip(obs.frame.tolist(), obs.landmark.tolist())], dtype=float)
+    return contrast[obs.slot] * (c + 1)
+
+
+def reference_update(counts, obs, inlier):
+    """The dict update: one count per inlier row, then frames outside obs dropped."""
+    for key in zip(obs.frame[inlier].tolist(), obs.landmark[inlier].tolist()):
+        counts[key] = counts.get(key, 0) + 1
+    frames = set(obs.frame.tolist())
+    return {key: c for key, c in counts.items() if key[0] in frames}
+
+
+def _sightings(rng, n_frames, n_landmarks):
+    """Columns of every (frame, landmark) sighting of a noisy scene with
+    outliers, so that stage 1 rejects some rows and keeps others."""
+    frame, landmark = np.meshgrid(np.arange(n_frames), np.arange(n_landmarks), indexing="ij")
+    frame, landmark = frame.ravel(), landmark.ravel()
+    distance = 20.0 + 8.0 * (n_frames - frame) + rng.uniform(0.0, 30.0, n_landmarks)[landmark]
+    lc = rng.uniform(20.0, 150.0, n_landmarks)[landmark]
+    t = np.exp(-0.03 * distance)
+    radiance = lc * t + 200.0 * (1.0 - t) + rng.normal(0.0, 1.0, frame.size)
+    wild = rng.random(frame.size) < 0.15
+    radiance[wild] += rng.normal(0.0, 40.0, wild.sum())
+    return frame, landmark, distance, radiance
+
+
+def _update_sequences(frame, landmark, rng):
+    """Lists of row masks over the sightings of a 12-frame, 8-landmark scene."""
+    frames = lambda ids: np.isin(frame, ids)
+    return {
+        "growing prefixes": [frames(range(k)) for k in range(4, 13)],
+        "sliding window": [frames(range(k, k + 5)) for k in range(8)],
+        "frame leaves and comes back": [frames([0, 1, 2, 3, 4]), frames([0, 1, 3, 4, 5]),
+                                        frames([0, 1, 2, 3, 4, 5]), frames([1, 2, 3, 4, 5])],
+        # generate_dr_pairs drops a landmark seen from fewer than xi_f frames
+        "landmark below xi_f and back": [frames(range(6)), frames(range(6)) & (landmark != 3),
+                                         frames(range(7))],
+        "random frame subsets": [frames(rng.choice(12, size=rng.integers(4, 9), replace=False))
+                                 for _ in range(8)],
+    }
+
+
+def test_inlier_count_table_matches_the_dict(monkeypatch):
+    """Counts and stage-1 weights bitwise against the dict-keyed reference,
+    over update sequences that grow, slide, drop and re-add frames and
+    landmarks, and repeat (frame, landmark) rows."""
+    stage1, real_solve = [], foglab.estimator.solve
+
+    def solve(problem, x0):
+        stage1.append((problem.weights, x0.copy()))
+        return real_solve(problem, x0)
+    monkeypatch.setattr(foglab.estimator, "solve", solve)
+    config = EstimatorConfig(xi_k=3)
+    delta = huber_delta_radiance(IDENT, config.delta)
+    rng = np.random.default_rng(12)
+    n_checked = 0
+    columns = _sightings(rng, 12, 8)
+    for name, masks in _update_sequences(columns[0], columns[1], rng).items():
+        state, counts = EstimatorState(), {}
+        for k, mask in enumerate(masks):
+            rows = np.flatnonzero(mask)
+            if k % 2:        # repeat some rows: the same sighting twice in one update
+                rows = np.concatenate((rows, rng.choice(rows, size=5)))
+            obs = ObservationSet.from_columns(*(c[rows] for c in columns))
+            stage1.clear()
+            result = estimate(obs, IDENT, state, config)
+            weights, x0 = stage1[0]
+            assert weights.tobytes() == reference_weights(obs, x0, counts).tobytes(), name
+            inlier = np.abs(result.stage1.residuals) <= delta
+            counts = reference_update(counts, obs, inlier)
+            table = state.inlier_counts
+            assert table.dtype == INLIER_COUNT_DTYPE
+            assert sorted(counts) == list(zip(table["frame"].tolist(),
+                                              table["landmark"].tolist())), name
+            assert [counts[key] for key in sorted(counts)] == table["count"].tolist(), name
+            n_checked += int(0 < inlier.sum() < inlier.size)
+    # the inlier masks were mixed, so the counts differed between rows
+    assert n_checked >= 10
 
 
 def test_config_validation():
@@ -342,3 +436,24 @@ def test_record_parse_errors():
         parse_estimate_record("frame=3 wind=9")
     with pytest.raises(MapFormatError, match="missing"):
         parse_estimate_record("frame=3 channel=gray")
+
+
+RECORD = {"frame": 12, "channel": "gray", "beta": 0.05, "l_inf": 200.0, "visibility": 59.9,
+          "inlier_fraction": 1.0, "stage1_cost": 0.0, "stage2_cost": "nan", "degraded": 0}
+
+
+def record_line(**changes):
+    return " ".join(f"{k}={v}" for k, v in {**RECORD, **changes}.items())
+
+
+def test_record_parse_rejects_a_repeated_field():
+    assert parse_estimate_record(record_line())["beta"] == 0.05
+    with pytest.raises(MapFormatError, match="repeated record field 'beta'"):
+        parse_estimate_record(record_line() + " beta=0.5")
+
+
+@pytest.mark.parametrize("field, value", [("frame", "x"), ("degraded", "1.0"),
+                                          ("beta", "fast")])
+def test_record_parse_rejects_a_value_of_the_wrong_type(field, value):
+    with pytest.raises(MapFormatError, match=f"bad record field '{field}'"):
+        parse_estimate_record(record_line(**{field: value}))
