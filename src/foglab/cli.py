@@ -23,7 +23,7 @@ from .metrics import compute_metrics
 from .photometry import (CHANNEL_NAMES, CalibrationSeries, ChannelGammaMaps, GammaMap,
                          check_channel, fit_gamma_map, load_gamma_file, save_gamma_file)
 from .rasters import read_distance_map, read_image, write_image
-from .scattering import (IntensityFogParams, beta_from_visibility,
+from .scattering import (IntensityFogParams, beta_from_visibility, luma,
                          quantize_to_u8, synthesize_fog_image, visibility_from_beta)
 
 
@@ -167,6 +167,11 @@ def _cmd_baseline(args) -> int:
         print(f"a_original={a_orig} a_modified={a_mod}")
         if a is None:
             a = a_orig if args.a_rule == "original" else a_mod
+            if np.ndim(a):
+                # the map is read in gray, and with one transmission for all
+                # channels the luma of the per-channel values is gray's value
+                a = float(luma(a))
+                print(f"a_gray={a}")
     if args.map is None:
         return 0
     if a is None:

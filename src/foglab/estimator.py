@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DegenerateDataError, MapFormatError, NotEnoughDataError
 from .localmap import ObservationSet, sort_pairs
 from .optimizer import ResidualProblem, SolveReport, solve
-from .photometry import GammaMap, compress, expand
+from .photometry import GammaMap, check_channel, compress, expand
 from .scattering import visibility_from_beta
 
 DEFAULT_BETA_BOUNDS = (0.001, 0.2)
@@ -325,6 +325,25 @@ def format_estimate_record(frame: int, channel: str, result: EstimateResult) -> 
     return " ".join(f"{k}={v}" for k, v in zip(RECORD_FIELDS, vals))
 
 
+def _record_value(key: str, val: str):
+    """One field's value, in the grammar :func:`format_estimate_record`
+    writes; ValueError otherwise. As in map files, Python's ``_`` digit
+    groups are refused."""
+    if "_" in val:
+        raise ValueError(f"'_' in {val!r}")
+    if key == "channel":
+        return check_channel(val)
+    if key in ("frame", "degraded"):
+        value = int(val)
+        if key == "degraded" and value not in (0, 1):
+            raise ValueError(f"degraded is 0 or 1, got {value}")
+        return value
+    value = float(val)
+    if key == "inlier_fraction" and not 0.0 <= value <= 1.0:
+        raise ValueError(f"inlier_fraction lies in [0, 1], got {value}")
+    return value
+
+
 def parse_estimate_record(line: str) -> dict:
     out: dict = {}
     for token in line.split():
@@ -335,9 +354,8 @@ def parse_estimate_record(line: str) -> dict:
             raise MapFormatError(f"unknown record field {key!r}")
         if key in out:
             raise MapFormatError(f"repeated record field {key!r}")
-        convert = {"channel": str, "frame": int, "degraded": int}.get(key, float)
         try:
-            out[key] = convert(val)
+            out[key] = _record_value(key, val)
         except ValueError as exc:
             raise MapFormatError(f"bad record field {key!r}: {exc}") from exc
     missing = [k for k in RECORD_FIELDS if k not in out]

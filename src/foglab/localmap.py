@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import MapFormatError
 from .photometry import CHANNEL_NAMES, GammaMap, check_channel, expand
-from .scattering import LUMA_WEIGHTS
+from .scattering import luma
 
 
 class Observation(NamedTuple):
@@ -220,8 +220,7 @@ def generate_dr_pairs(graph: LocalMapGraph, gmap: GammaMap, channel: str = "gray
             raise ValueError(f"channel {channel!r} needs a color map; this map is gray")
         intensity = values[:, 0]
     elif position == 0:
-        w = LUMA_WEIGHTS
-        intensity = w[0] * values[:, 0] + w[1] * values[:, 1] + w[2] * values[:, 2]
+        intensity = luma(values)
     else:
         intensity = values[:, position - 1]
     _, slot, counts = np.unique(edges["landmark"], return_inverse=True, return_counts=True)

@@ -30,6 +30,16 @@ which is the damped dense step, so a trial solves an n_global-sized
 symmetric positive definite system and all else is O(N). A dense problem is
 the case with no local parameters (B empty, S the whole damped matrix).
 
+Per solve, ``residual`` is called once for the residual count, once at the
+start point and once per trial point; ``jacobian`` once at the start point
+and once per accepted step. A trial point handed to ``residual`` may be a
+buffer that the next trial overwrites, so a callback keeps no reference to
+it. An accepted point's buffer is never written again: it is the point
+handed to ``jacobian`` and the ``SolveReport.params`` of a solve, and the
+residuals may be a view of it. A trial's cost is the squared norm of the
+scaled residuals without their sign, which is the same number; the sign is
+applied only at accepted points, where the residual column is built.
+
 A solve stops for one of four reasons, which ``SolveReport.reason`` names:
 
     "gradient"  the largest gradient entry is below 1e-10 (``_GRADIENT_TOL``)
@@ -179,31 +189,54 @@ def robust_scale(raw: np.ndarray, delta: Optional[float] = None):
     return np.copysign(root, raw), _huber_factor(root, outside, delta)
 
 
-def _blocks(cols: np.ndarray, n_global: int, flat: Optional[np.ndarray], n_local: int,
-            prod: Optional[np.ndarray]):
-    """The arrowhead of the scaled system, from its columns
-    ``[J_g, r, J_l]``, as three arrays: [H_g | g_g] (n_global, n_global + 1);
-    per local parameter its coupling row and gradient [B^T | g_l]
-    (n_local, n_global + 1); and the local diagonal H_l. ``prod`` is scratch
-    space of the shape of ``cols``."""
-    global_block = cols[:, :n_global].T @ cols[:, :n_global + 1]
+def _arrowhead(cols: np.ndarray, n_global: int, flat: Optional[np.ndarray],
+               n_local: int):
+    """A function that returns the arrowhead of the scaled system from its
+    columns ``cols`` = ``[J_g, r, J_l]`` as they are at the call, as three
+    arrays: [H_g | g_g] (n_global, n_global + 1); per local parameter its
+    coupling row and gradient [B^T | g_l] (n_local, n_global + 1); and the
+    local diagonal H_l. Column views and scratch space are made once here."""
+    jg_t, jg_r = cols[:, :n_global].T, cols[:, :n_global + 1]
     if flat is None:
-        return global_block, np.zeros((0, n_global + 1)), np.zeros(0)
+        no_local = np.zeros((0, n_global + 1)), np.zeros(0)
+        return lambda: (jg_t @ jg_r, *no_local)
     # per row: its local derivative times [global derivatives, residual,
     # local derivative], summed per local parameter. Column by column, as
     # numpy loops slowly over rows of a few columns.
-    for k in range(n_global + 2):
-        np.multiply(cols[:, -1], cols[:, k], out=prod[:, k])
-    sums = np.bincount(flat, prod.ravel(), n_local * (n_global + 2))
-    sums = sums.reshape(n_local, n_global + 2)
-    return global_block, sums[:, :-1], sums[:, -1]
+    prod = np.empty_like(cols)
+    j_l, products = cols[:, -1], [(cols[:, k], prod[:, k]) for k in range(n_global + 2)]
+    prod = prod.ravel()
+
+    def blocks():
+        global_block = jg_t @ jg_r
+        for col, out in products:
+            np.multiply(j_l, col, out=out)
+        sums = np.bincount(flat, prod, n_local * (n_global + 2))
+        sums = sums.reshape(n_local, n_global + 2)
+        return global_block, sums[:, :-1], sums[:, -1]
+    return blocks
 
 
 def _cholesky_solve(m: list) -> Optional[list]:
     """Solve S x = b in Python floats, given the rows of [S | b] with S small
-    and symmetric positive definite; S's lower triangle is read and
+    and symmetric positive definite; S's lower triangle is read and may be
     overwritten. None when a pivot is not positive."""
     n = len(m)
+    if n == 2:
+        # the loop below for n = 2, unrolled: the same operations in the same
+        # order, so the same result
+        (s00, _, b0), (s10, s11, b1) = m
+        if not s00 > 0:
+            return None
+        l00 = math.sqrt(s00)
+        l10 = s10 / l00
+        s = s11 - l10 * l10
+        if not s > 0:
+            return None
+        l11 = math.sqrt(s)
+        y0 = b0 / l00
+        x1 = (b1 - l10 * y0) / l11 / l11
+        return [(y0 - l10 * x1) / l00, x1]
     for i in range(n):
         ri = m[i]
         for j in range(i + 1):
@@ -234,11 +267,7 @@ def _cholesky_solve(m: list) -> Optional[list]:
 def solve(problem: ResidualProblem, x0: np.ndarray,
           max_iterations: int = 100) -> SolveReport:
     """Run projected LM from ``x0``. Accepted iterates never increase cost.
-
-    ``problem.residual`` is called once for the residual count, once at the
-    start point and once per trial point; ``problem.jacobian`` once at the
-    start point and once per accepted step.
-    """
+    The callbacks are called as the module docstring says."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.n_params,):
         raise ValueError("x0 must have one entry per parameter")
@@ -256,7 +285,7 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
     n_global = problem.n_global
     n_local = problem.n_params - n_global
     if problem.slot is None:
-        flat = prod = None
+        flat = None
     else:
         if problem.slot.shape != (n_res,):
             raise ValueError("slot must have one entry per residual")
@@ -265,63 +294,77 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
                 + np.arange(n_global + 2)).ravel()
     # the scaled system's columns [J_g, r, J_l], rewritten per accepted step
     cols = np.empty((n_res, n_global + 1 + (flat is not None)))
-    if flat is not None:
-        prod = np.empty_like(cols)
+    blocks = _arrowhead(cols, n_global, flat, n_local)
+    r_col = cols[:, n_global]
+    j_cols = [cols[:, k + (k >= n_global)] for k in range(cols.shape[1] - 1)]
+    # per-trial workspace: the damped local diagonal, the local step and,
+    # from trial_buffer, the trial point. An accepted trial point keeps its
+    # buffer, which may hold the residuals too; the next trials get a new one.
+    D, step = np.empty(n_local), np.empty(n_local)
+
+    def trial_buffer():
+        x_new = np.empty_like(x)
+        return x_new, x_new[:n_global], x_new[n_global:]
 
     def evaluate(x):
-        """Raw and scaled residuals at ``x``, and what the Huber row factors
-        need; the cost is the scaled residuals' squared norm."""
+        """Raw residuals at ``x``; the scaled residuals up to sign, whose
+        squared norm is the cost; and the Huber root and mask (None for
+        squared loss). :func:`fill_columns` applies the sign."""
         raw = np.asarray(problem.residual(x), dtype=float)
         if delta is None:
-            scaled, huber = raw, None
+            huber, size = None, raw
         else:
-            root, outside = huber = _huber_root(raw, delta)
-            scaled = np.copysign(root, raw)
-        return raw, (scaled if sqrt_w is None else sqrt_w * scaled), huber
+            huber = _huber_root(raw, delta)
+            size = huber[0]
+        return raw, (size if sqrt_w is None else sqrt_w * size), huber
 
-    def fill_columns(J, rt, huber):
+    def fill_columns(J, raw, rt, huber):
         """Write the scaled Jacobian and residuals into ``cols``."""
         if huber is None:
             scale = sqrt_w
+            r_col[:] = rt
         else:
             factor = _huber_factor(*huber, delta)
             scale = factor if sqrt_w is None else sqrt_w * factor
-        for k in range(J.shape[1]):
-            col = cols[:, k + (k >= n_global)]
+            np.copysign(huber[0], raw, out=r_col)
+            if sqrt_w is not None:
+                np.multiply(sqrt_w, r_col, out=r_col)
+        for k, col in enumerate(j_cols):
             if scale is None:
                 col[:] = J[:, k]
             else:
                 np.multiply(scale, J[:, k], out=col)
-        cols[:, n_global] = rt
 
     raw, rt, huber = evaluate(x)
     J = np.asarray(problem.jacobian(x), dtype=float)
     if J.shape != (n_res, n_global + (flat is not None)):
         raise ValueError("jacobian shape must be (n_residuals, n_params), or "
                          "(n_residuals, n_global + 1) with slot")
-    if not (np.all(np.isfinite(rt)) and np.all(np.isfinite(J))):
+    if not (_all_finite(rt) and _all_finite(J)):
         raise NumericError("non-finite residual or Jacobian at the start point")
-    fill_columns(J, rt, huber)
+    fill_columns(J, raw, rt, huber)
     cost = float(rt @ rt)
+    x_new, new_g, new_l = trial_buffer()
 
     lam = _INIT_DAMPING
     iterations = 0
     reason = "max-iter"
     for _ in range(max_iterations):
         iterations += 1
-        global_block, local_rows, H_local = _blocks(cols, n_global, flat, n_local, prod)
-        g = np.concatenate((global_block[:, -1], local_rows[:, -1]))
-        if np.abs(g).max() < _GRADIENT_TOL:
+        global_block, local_rows, H_local = blocks()
+        if (_max_abs(global_block[:, -1]) < _GRADIENT_TOL
+                and (not n_local or _max_abs(local_rows[:, -1]) < _GRADIENT_TOL)):
             reason = "gradient"
             break
         diag = np.concatenate((global_block.diagonal(), H_local))
         diag[diag <= 0] = 1.0  # zero-information parameters stay put
         d_global, d_local = diag[:n_global].tolist(), diag[n_global:]
         B = local_rows[:, :-1].T
+        x_g, x_l = x[:n_global], x[n_global:]
 
         accepted = False
         while lam <= _DAMPING_CEILING:
-            D = H_local + lam * d_local
+            np.add(H_local, np.multiply(lam, d_local, out=D), out=D)
             # [S | g_g - B D^-1 g_l] with S = H_g + lam diag(d_g) - B D^-1 B^T
             m = (global_block - (B / D) @ local_rows).tolist()
             for i in range(n_global):
@@ -331,10 +374,9 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
                 lam *= 10.0
                 continue
             # x + s projected on the box, with s_l = -(g_l + B^T s_g) / D
-            x_new = np.empty_like(x)
-            np.subtract(x[:n_global], neg_global, out=x_new[:n_global])
-            np.add(x[n_global:], (local_rows @ (neg_global + [-1.0])) / D,
-                   out=x_new[n_global:])
+            np.subtract(x_g, neg_global, out=new_g)
+            np.divide(np.matmul(local_rows, neg_global + [-1.0], out=step), D, out=step)
+            np.add(x_l, step, out=new_l)
             np.minimum(np.maximum(x_new, lo, out=x_new), hi, out=x_new)
             raw_new, rt_new, huber_new = evaluate(x_new)
             cost_new = float(rt_new @ rt_new)   # not finite if any residual is not
@@ -346,24 +388,34 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
             reason = "step"
             break
 
-        step_size = float(np.max(np.abs(x_new - x)))
         small_reduction = cost - cost_new <= _COST_TOL * cost
-        x, raw, cost = x_new, raw_new, cost_new
+        x_old, x, raw, cost = x, x_new, raw_new, cost_new
+        x_new, new_g, new_l = trial_buffer()
+        step_size = _max_abs(np.subtract(x, x_old, out=x_new))
         J = np.asarray(problem.jacobian(x), dtype=float)
-        if not np.all(np.isfinite(J)):
+        if not _all_finite(J):
             reason = "step"
             break
-        if step_size < _STEP_TOL * (np.max(np.abs(x)) + _STEP_TOL):
+        if step_size < _STEP_TOL * (_max_abs(x) + _STEP_TOL):
             reason = "step"
             break
         if small_reduction:
             reason = "cost"
             break
-        fill_columns(J, rt_new, huber_new)
+        fill_columns(J, raw_new, rt_new, huber_new)
         lam = max(lam / 10.0, _DAMPING_FLOOR)
 
     return SolveReport(params=x, cost=cost, iterations=iterations,
                        reason=reason, residuals=raw)
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """The largest |a_i|, NaN if any is; ``np.max`` without its wrapper."""
+    return float(np.maximum.reduce(np.abs(a), axis=None))
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
 
 
 def check_jacobian(problem: ResidualProblem, x: np.ndarray) -> float:

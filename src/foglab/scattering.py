@@ -27,6 +27,12 @@ _LN_MOR = -math.log(MOR_TRANSMISSION)
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
 
+def luma(values: np.ndarray) -> np.ndarray:
+    """The gray value of r, g, b values along the last axis."""
+    w = LUMA_WEIGHTS
+    return w[0] * values[..., 0] + w[1] * values[..., 1] + w[2] * values[..., 2]
+
+
 @dataclass(frozen=True)
 class FogParams:
     """Fog state in the radiance domain."""

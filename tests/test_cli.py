@@ -187,6 +187,29 @@ def test_baseline_without_inverse_depth_gap_skips_equal_distances(tmp_path, caps
     assert float(line.split("beta=")[1].split()[0]) == pytest.approx(0.0115)
 
 
+def test_baseline_from_a_color_image_uses_the_luma_of_a(tmp_path, capsys):
+    # every pixel is (200, 180, 160): both dark-channel rules give that a,
+    # whose luma is the gray map's a
+    img_path = tmp_path / "frame.ppm"
+    write_image(img_path, np.tile(np.array([200, 180, 160], dtype=np.uint8), (32, 32, 1)))
+    a = 0.299 * 200.0 + 0.587 * 180.0 + 0.114 * 160.0
+    beta, clear = 0.0203, 50.0
+    edges = "".join(f"edge {k} 0 {d} {float(a + (clear - a) * np.exp(-beta * d))!r}\n"
+                    for k, d in enumerate((50.0, 75.0, 100.0)))
+    map_path = tmp_path / "m.map"
+    map_path.write_text("localmap 3 1 3 1\nframe 0\nframe 1\nframe 2\nlandmark 0\n" + edges)
+    assert run("baseline", "--image", img_path, "--map", map_path) == 0
+    out = capsys.readouterr().out
+    assert "a_original=[200. 180. 160.]" in out
+    assert f"a_gray={a!r}" in out
+    # the three pairs give beta = 0.0203 up to rounding: the 0.020 bin wins
+    assert float(out.split("beta=")[1].split()[0]) == pytest.approx(0.0205)
+    # --a still overrides the image
+    assert run("baseline", "--image", img_path, "--map", map_path, "--a", 200) == 0
+    out = capsys.readouterr().out
+    assert "a_gray" not in out and "a=200.0" in out
+
+
 def test_baseline_map_without_a_fails(tmp_path, capsys):
     map_path, _ = make_map(tmp_path)
     assert run("baseline", "--map", map_path) == 1

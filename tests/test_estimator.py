@@ -447,13 +447,18 @@ def record_line(**changes):
 
 
 def test_record_parse_rejects_a_repeated_field():
-    assert parse_estimate_record(record_line())["beta"] == 0.05
+    rec = parse_estimate_record(record_line())
+    assert rec["beta"] == 0.05 and math.isnan(rec["stage2_cost"])
     with pytest.raises(MapFormatError, match="repeated record field 'beta'"):
         parse_estimate_record(record_line() + " beta=0.5")
 
 
-@pytest.mark.parametrize("field, value", [("frame", "x"), ("degraded", "1.0"),
-                                          ("beta", "fast")])
+@pytest.mark.parametrize("field, value", [
+    ("frame", "x"), ("degraded", "1.0"), ("beta", "fast"),
+    # values that format_estimate_record never writes
+    ("frame", "1_0"), ("beta", "0_05"), ("channel", "purple"), ("degraded", "5"),
+    ("degraded", "-1"), ("inlier_fraction", "7"), ("inlier_fraction", "-0.5"),
+    ("inlier_fraction", "nan")])
 def test_record_parse_rejects_a_value_of_the_wrong_type(field, value):
     with pytest.raises(MapFormatError, match=f"bad record field '{field}'"):
         parse_estimate_record(record_line(**{field: value}))

@@ -1,6 +1,7 @@
 """Projected Levenberg-Marquardt solver and robust residual rescaling."""
 
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ import pytest
 from foglab.errors import NumericError
 from foglab.estimator import _fog_problem, residual_and_jacobian
 from foglab.localmap import ObservationSet
-from foglab.optimizer import ResidualProblem, check_jacobian, robust_scale, solve
+from foglab.optimizer import (_COST_TOL, _DAMPING_CEILING, _DAMPING_FLOOR, _GRADIENT_TOL,
+                              _INIT_DAMPING, _STEP_TOL, ResidualProblem, SolveReport,
+                              _cholesky_solve, _huber_factor, _huber_root, check_jacobian,
+                              robust_scale, solve)
 
 
 def scalar_problem(**kwargs):
@@ -330,6 +334,36 @@ def test_callback_calls_per_iteration(form):
     assert report.reason == "max-iter"
     assert calls == {"residual": 3, "jacobian": 2}
 
+    # many iterations, some trials rejected: the counts are the reference's,
+    # and every point the Jacobian saw is as it was when it saw it
+    def build():
+        if form == "dense":
+            return rosenbrock_problem(), np.array([-1.2, 1.0])
+        return fog_case(0)
+
+    problem, x0 = build()
+    want = counting(problem)
+    reference = reference_solve(problem, x0, 20)
+    problem, x0 = build()
+    calls = counting(problem)
+    seen = []
+    jacobian = problem.jacobian
+
+    def remembering_jacobian(x):
+        seen.append((x, x.copy()))
+        return jacobian(x)
+
+    problem.jacobian = remembering_jacobian
+    report = solve(problem, x0, 20)
+    assert calls == want
+    assert report.reason == "max-iter" and report.iterations == 20
+    # residual: size, start point, trials; Jacobian: start point, accepted steps
+    assert calls["jacobian"] == 1 + report.iterations
+    assert calls["residual"] > 2 + report.iterations     # rejected trials
+    assert all(x.tobytes() == copy.tobytes() for x, copy in seen)
+    assert seen[-1][0] is report.params
+    assert_same_report(report, reference)
+
 
 def test_fog_callbacks_match_a_fresh_problem_bitwise():
     # residual and Jacobian share exp(-beta d) through a cache keyed on the
@@ -353,3 +387,278 @@ def test_fog_callbacks_match_a_fresh_problem_bitwise():
         got = getattr(problem, name)(arg)
         want = getattr(fog_slot_problem(obs, x0, rows, fields), name)(arg.copy())
         assert got.tobytes() == want.tobytes()
+
+
+# --- bitwise reference ----------------------------------------------------------
+# The solver as it was before its per-trial work was trimmed, verbatim but for
+# the three names. Every rework of the iteration must reproduce it bit for bit:
+# same params, cost and residuals, same iteration count and stop reason.
+
+def _reference_blocks(cols: np.ndarray, n_global: int, flat: Optional[np.ndarray], n_local: int,
+                      prod: Optional[np.ndarray]):
+    """The arrowhead of the scaled system, from its columns
+    ``[J_g, r, J_l]``, as three arrays: [H_g | g_g] (n_global, n_global + 1);
+    per local parameter its coupling row and gradient [B^T | g_l]
+    (n_local, n_global + 1); and the local diagonal H_l. ``prod`` is scratch
+    space of the shape of ``cols``."""
+    global_block = cols[:, :n_global].T @ cols[:, :n_global + 1]
+    if flat is None:
+        return global_block, np.zeros((0, n_global + 1)), np.zeros(0)
+    # per row: its local derivative times [global derivatives, residual,
+    # local derivative], summed per local parameter. Column by column, as
+    # numpy loops slowly over rows of a few columns.
+    for k in range(n_global + 2):
+        np.multiply(cols[:, -1], cols[:, k], out=prod[:, k])
+    sums = np.bincount(flat, prod.ravel(), n_local * (n_global + 2))
+    sums = sums.reshape(n_local, n_global + 2)
+    return global_block, sums[:, :-1], sums[:, -1]
+
+
+def _reference_cholesky_solve(m: list) -> Optional[list]:
+    """Solve S x = b in Python floats, given the rows of [S | b] with S small
+    and symmetric positive definite; S's lower triangle is read and
+    overwritten. None when a pivot is not positive."""
+    n = len(m)
+    for i in range(n):
+        ri = m[i]
+        for j in range(i + 1):
+            rj = m[j]
+            s = ri[j]
+            for k in range(j):
+                s -= ri[k] * rj[k]
+            if j < i:
+                ri[j] = s / rj[j]
+            elif s > 0:
+                ri[i] = math.sqrt(s)
+            else:
+                return None
+    x = [row[n] for row in m]
+    for i in range(n):
+        s = x[i]
+        for k in range(i):
+            s -= m[i][k] * x[k]
+        x[i] = s / m[i][i]
+    for i in reversed(range(n)):
+        s = x[i]
+        for k in range(i + 1, n):
+            s -= m[k][i] * x[k]
+        x[i] = s / m[i][i]
+    return x
+
+
+def reference_solve(problem: ResidualProblem, x0: np.ndarray,
+                    max_iterations: int = 100) -> SolveReport:
+    """Run projected LM from ``x0``. Accepted iterates never increase cost.
+
+    ``problem.residual`` is called once for the residual count, once at the
+    start point and once per trial point; ``problem.jacobian`` once at the
+    start point and once per accepted step.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (problem.n_params,):
+        raise ValueError("x0 must have one entry per parameter")
+    lo, hi = problem.lower, problem.upper
+    x = np.clip(x0, lo, hi)
+    delta = problem.huber_delta
+
+    n_res = np.asarray(problem.residual(x)).shape[0]
+    if problem.weights is None:
+        sqrt_w = None                   # unit weights: skip the products
+    else:
+        if problem.weights.shape != (n_res,):
+            raise ValueError("weights must have one entry per residual")
+        sqrt_w = np.sqrt(problem.weights)
+    n_global = problem.n_global
+    n_local = problem.n_params - n_global
+    if problem.slot is None:
+        flat = prod = None
+    else:
+        if problem.slot.shape != (n_res,):
+            raise ValueError("slot must have one entry per residual")
+        # row i's sums land in bins slot[i] * (n_global + 2) + column
+        flat = (problem.slot[:, None] * (n_global + 2)
+                + np.arange(n_global + 2)).ravel()
+    # the scaled system's columns [J_g, r, J_l], rewritten per accepted step
+    cols = np.empty((n_res, n_global + 1 + (flat is not None)))
+    if flat is not None:
+        prod = np.empty_like(cols)
+
+    def evaluate(x):
+        """Raw and scaled residuals at ``x``, and what the Huber row factors
+        need; the cost is the scaled residuals' squared norm."""
+        raw = np.asarray(problem.residual(x), dtype=float)
+        if delta is None:
+            scaled, huber = raw, None
+        else:
+            root, outside = huber = _huber_root(raw, delta)
+            scaled = np.copysign(root, raw)
+        return raw, (scaled if sqrt_w is None else sqrt_w * scaled), huber
+
+    def fill_columns(J, rt, huber):
+        """Write the scaled Jacobian and residuals into ``cols``."""
+        if huber is None:
+            scale = sqrt_w
+        else:
+            factor = _huber_factor(*huber, delta)
+            scale = factor if sqrt_w is None else sqrt_w * factor
+        for k in range(J.shape[1]):
+            col = cols[:, k + (k >= n_global)]
+            if scale is None:
+                col[:] = J[:, k]
+            else:
+                np.multiply(scale, J[:, k], out=col)
+        cols[:, n_global] = rt
+
+    raw, rt, huber = evaluate(x)
+    J = np.asarray(problem.jacobian(x), dtype=float)
+    if J.shape != (n_res, n_global + (flat is not None)):
+        raise ValueError("jacobian shape must be (n_residuals, n_params), or "
+                         "(n_residuals, n_global + 1) with slot")
+    if not (np.all(np.isfinite(rt)) and np.all(np.isfinite(J))):
+        raise NumericError("non-finite residual or Jacobian at the start point")
+    fill_columns(J, rt, huber)
+    cost = float(rt @ rt)
+
+    lam = _INIT_DAMPING
+    iterations = 0
+    reason = "max-iter"
+    for _ in range(max_iterations):
+        iterations += 1
+        global_block, local_rows, H_local = _reference_blocks(cols, n_global, flat, n_local, prod)
+        g = np.concatenate((global_block[:, -1], local_rows[:, -1]))
+        if np.abs(g).max() < _GRADIENT_TOL:
+            reason = "gradient"
+            break
+        diag = np.concatenate((global_block.diagonal(), H_local))
+        diag[diag <= 0] = 1.0  # zero-information parameters stay put
+        d_global, d_local = diag[:n_global].tolist(), diag[n_global:]
+        B = local_rows[:, :-1].T
+
+        accepted = False
+        while lam <= _DAMPING_CEILING:
+            D = H_local + lam * d_local
+            # [S | g_g - B D^-1 g_l] with S = H_g + lam diag(d_g) - B D^-1 B^T
+            m = (global_block - (B / D) @ local_rows).tolist()
+            for i in range(n_global):
+                m[i][i] += lam * d_global[i]
+            neg_global = _reference_cholesky_solve(m)               # -s_g
+            if neg_global is None:
+                lam *= 10.0
+                continue
+            # x + s projected on the box, with s_l = -(g_l + B^T s_g) / D
+            x_new = np.empty_like(x)
+            np.subtract(x[:n_global], neg_global, out=x_new[:n_global])
+            np.add(x[n_global:], (local_rows @ (neg_global + [-1.0])) / D,
+                   out=x_new[n_global:])
+            np.minimum(np.maximum(x_new, lo, out=x_new), hi, out=x_new)
+            raw_new, rt_new, huber_new = evaluate(x_new)
+            cost_new = float(rt_new @ rt_new)   # not finite if any residual is not
+            if cost_new < cost:
+                accepted = True
+                break
+            lam *= 10.0
+        if not accepted:
+            reason = "step"
+            break
+
+        step_size = float(np.max(np.abs(x_new - x)))
+        small_reduction = cost - cost_new <= _COST_TOL * cost
+        x, raw, cost = x_new, raw_new, cost_new
+        J = np.asarray(problem.jacobian(x), dtype=float)
+        if not np.all(np.isfinite(J)):
+            reason = "step"
+            break
+        if step_size < _STEP_TOL * (np.max(np.abs(x)) + _STEP_TOL):
+            reason = "step"
+            break
+        if small_reduction:
+            reason = "cost"
+            break
+        fill_columns(J, rt_new, huber_new)
+        lam = max(lam / 10.0, _DAMPING_FLOOR)
+
+    return SolveReport(params=x, cost=cost, iterations=iterations,
+                       reason=reason, residuals=raw)
+
+
+def assert_same_report(got, want):
+    assert got.params.tobytes() == want.params.tobytes()
+    assert got.cost.hex() == want.cost.hex()
+    assert got.residuals.tobytes() == want.residuals.tobytes()
+    assert (got.iterations, got.reason) == (want.iterations, want.reason)
+
+
+def fog_case(seed, subset=False, beta_cap=None, pinned=False):
+    """A seeded fog slot problem and its start point: Huber with weights
+    (stage 1), or squared loss on a row subset (stage 2); optionally with
+    beta's upper bound below the truth, or every parameter pinned."""
+    obs, x0, rows, fields = random_fog_problem(np.random.default_rng(seed), subset=subset)
+    if beta_cap is not None:
+        fields["upper"] = fields["upper"].copy()
+        fields["upper"][0] = beta_cap
+    if pinned:
+        fields["lower"], fields["upper"] = x0.copy(), x0.copy()
+    return fog_slot_problem(obs, x0, rows, fields), x0
+
+
+REFERENCE_CASES = {
+    # name: (problem and start, iteration cap, expected stop reason)
+    "huber-weights-0": (lambda: fog_case(0), 100, "cost"),
+    "huber-weights-1": (lambda: fog_case(1), 100, "cost"),
+    "huber-weights-4": (lambda: fog_case(4), 100, "max-iter"),
+    "row-subset-0": (lambda: fog_case(0, subset=True), 100, "cost"),
+    "row-subset-1": (lambda: fog_case(1, subset=True), 100, "max-iter"),
+    "row-subset-3": (lambda: fog_case(3, subset=True), 100, "cost"),
+    "beta-on-bound-0": (lambda: fog_case(0, beta_cap=0.004), 100, "max-iter"),
+    "beta-on-bound-subset-1": (lambda: fog_case(1, subset=True, beta_cap=0.004), 100, "cost"),
+    "pinned-box": (lambda: fog_case(2, pinned=True), 100, "step"),
+    "cap-3": (lambda: fog_case(5), 3, "max-iter"),
+    "scalar": (lambda: (scalar_problem(), np.array([10.0])), 100, "gradient"),
+    "scalar-on-bound": (lambda: (scalar_problem(lower=np.array([0.0]), upper=np.array([2.0])),
+                                 np.array([1.0])), 100, "step"),
+    "rosenbrock": (lambda: (rosenbrock_problem(), np.array([-1.2, 1.0])), 100, "gradient"),
+    "rosenbrock-cap-5": (lambda: (rosenbrock_problem(), np.array([-1.2, 1.0])), 5, "max-iter"),
+    # the residuals are the point itself, so they live in the trial buffer
+    "residual-is-x": (lambda: (ResidualProblem(2, lambda x: x, lambda x: np.eye(2)),
+                               np.array([3.0, -4.0])), 100, "gradient"),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_solve_matches_the_reference_bitwise(name):
+    build, max_iterations, reason = REFERENCE_CASES[name]
+    problem, x0 = build()
+    want = reference_solve(problem, x0, max_iterations)
+    got = solve(problem, x0, max_iterations)
+    assert got.reason == reason
+    assert_same_report(got, want)
+    if name.startswith("beta-on-bound"):
+        assert got.params[0] == problem.upper[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_cholesky_solve_matches_the_reference(n):
+    rng = np.random.default_rng(n)
+    results = []
+    for trial in range(200):
+        a = rng.normal(size=(n, n))
+        if trial % 2:
+            s = a @ a.T + 0.1 * np.eye(n)           # positive definite
+        else:
+            s = a + a.T                             # indefinite, mostly
+        m = np.column_stack((s, rng.normal(size=n))).tolist()
+        got = _cholesky_solve([row[:] for row in m])
+        want = _reference_cholesky_solve([row[:] for row in m])
+        results.append(want is not None)
+        if want is None:
+            assert got is None
+        else:
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+    # both outcomes occur (n = 1: a pivot is s itself, negative half the time)
+    assert any(results) and not all(results)
+    # a zero or NaN leading pivot is not positive
+    for pivot in (0.0, math.nan):
+        m = np.eye(n, n + 1).tolist()
+        m[0][0] = pivot
+        assert _cholesky_solve([row[:] for row in m]) is None
+        assert _reference_cholesky_solve([row[:] for row in m]) is None
