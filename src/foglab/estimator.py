@@ -119,25 +119,31 @@ def derive_bounds(obs: ObservationSet, gmap: GammaMap,
     the clear radiance from below the same way. Flat landmarks get the
     neutral range of the gamma map.
     """
-    lo_all = expand(gmap, 0.0)
-    hi_all = expand(gmap, 255.0)
-    near_l, far_l = obs.radiance[obs.near], obs.radiance[obs.far]
-    spread = obs.distance[obs.far] - obs.distance[obs.near]
-    rise = compress(gmap, far_l, clamp=True) - compress(gmap, near_l, clamp=True)
+    lo_all, hi_all = expand(gmap, [0.0, 255.0]).tolist()
+    # each landmark's nearest row, then each one's farthest: one array, so
+    # that each gamma-map call and clamp below is one numpy call
+    ends = np.concatenate((obs.near, obs.far))
+    ends_l = obs.radiance[ends]
+    far_l = ends_l[obs.near.size:]
+    near_d, far_d = obs.distance[ends].reshape(2, -1)
+    near_i, far_i = compress(gmap, ends_l, clamp=True).reshape(2, -1)
+    spread = far_d - near_d
+    rise = far_i - near_i
     slope = np.divide(rise, spread, out=np.zeros_like(rise), where=spread > 0)
+    steep = slope > eta
     # noise can push observed radiances slightly out of the map's range;
     # clamp so the box stays ordered
-    near_c, far_c = np.clip(near_l, lo_all, hi_all), np.clip(far_l, lo_all, hi_all)
+    near_c, far_c = np.minimum(np.maximum(ends_l, lo_all), hi_all).reshape(2, -1)
     lo = np.where(slope < -eta, near_c, lo_all)
-    hi = np.where(slope > eta, near_c, hi_all)
-    candidates = far_c[slope > eta]
+    hi = np.where(steep, near_c, hi_all)
+    candidates = far_c[steep]
     if candidates.size:
         # A steep-slope landmark's far-range radiance sits below the haze
         # level, so the typical far-range radiance caps the bound; without
         # the cap a handful of gross outliers (the only points that can look
         # steep once everything is fog-washed) can squeeze the box above the
         # true value.
-        l_inf_lo = min(float(np.median(candidates)), float(np.median(far_l)))
+        l_inf_lo = min(_median(candidates), _median(far_l))
     else:
         l_inf_lo = lo_all
     return Bounds(lower=np.concatenate(([beta_bounds[0], l_inf_lo], lo)),
@@ -155,12 +161,22 @@ def initialize(obs: ObservationSet, state: EstimatorState, bounds: Bounds) -> np
     prev = state.previous
     x = np.empty(2 + len(ids))
     if prev is None:
-        x[0], x[1] = DEFAULT_BETA_INIT, float(np.median(obs.radiance[obs.far]))
+        x[0], x[1] = DEFAULT_BETA_INIT, _median(obs.radiance[obs.far])
         x[2:] = obs.radiance[obs.near]
     else:
         x[0], x[1] = prev.beta, prev.l_inf
         x[2:] = [prev.lc.get(n, L) for n, L in zip(ids, obs.radiance[obs.near].tolist())]
-    return np.clip(x, bounds.lower, bounds.upper)
+    return np.minimum(np.maximum(x, bounds.lower), bounds.upper)
+
+
+def _median(a: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D array of finite values, bit for bit:
+    one partition, then the middle element or the mean of the two."""
+    h = a.size // 2
+    if a.size % 2:
+        return float(np.partition(a, h)[h])
+    p = np.partition(a, (h - 1, h))
+    return float((p[h - 1] + p[h]) / 2.0)
 
 
 def compute_weights(obs: ObservationSet, x: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -181,12 +197,12 @@ def _join_inlier_counts(table: np.ndarray, obs: ObservationSet):
     order, same_frame, same_pair = sort_pairs(frame, landmark)
     first = ~same_pair
     pair_of = np.empty(frame.size, dtype=np.intp)
-    pair_of[order] = np.cumsum(first) - 1
+    pair_of[order] = first.cumsum() - 1
     pairs = np.zeros(np.count_nonzero(first), INLIER_COUNT_DTYPE)
     pairs["frame"], pairs["landmark"] = frame[order][first], landmark[order][first]
     pairs["count"][pair_of[:table.size]] = table["count"]
     row_pair = pair_of[table.size:]
-    frame_rank = (np.cumsum(~same_frame) - 1)[first]   # of each pair's frame
+    frame_rank = ((~same_frame).cumsum() - 1)[first]   # of each pair's frame
     current = np.zeros(pairs.size, dtype=bool)
     current[frame_rank[row_pair]] = True               # frames with observation rows
     return pairs, row_pair, current[frame_rank]
@@ -196,8 +212,8 @@ def huber_delta_radiance(gmap: GammaMap, delta_intensity: float) -> float:
     """Huber width mapped from intensity levels to the radiance domain,
     measured across the middle of the intensity range."""
     mid = 127.5
-    return (expand(gmap, mid + delta_intensity / 2.0)
-            - expand(gmap, mid - delta_intensity / 2.0))
+    lo, hi = expand(gmap, [mid - delta_intensity / 2.0, mid + delta_intensity / 2.0]).tolist()
+    return hi - lo
 
 
 def _fog_problem(n_params: int, d: np.ndarray, L: np.ndarray, slot: np.ndarray,
@@ -263,7 +279,7 @@ def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
     if len(ids) < config.xi_k:
         raise NotEnoughDataError(
             f"{len(ids)} qualifying landmarks, xi_k={config.xi_k} required")
-    if np.all(obs.distance[obs.far] == obs.distance[obs.near]):
+    if np.logical_and.reduce(obs.distance[obs.far] == obs.distance[obs.near]):
         raise DegenerateDataError("no landmark has distance spread; beta is unidentifiable")
 
     bounds = derive_bounds(obs, gmap, config.eta, config.beta_bounds)
@@ -302,11 +318,12 @@ def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
 
     result = FogEstimate(
         beta=float(final[0]), l_inf=float(final[1]),
-        lc={n: float(final[2 + k]) for k, n in enumerate(ids)})
+        lc=dict(zip(ids, final[2:].tolist())))
     state.previous = result
     return EstimateResult(estimate=result, bounds=bounds,
                           stage1=stage1, stage2=stage2,
-                          inlier_fraction=float(inlier.mean()), degraded=degraded)
+                          inlier_fraction=np.count_nonzero(inlier) / inlier.size,
+                          degraded=degraded)
 
 
 # --- estimate stream records -------------------------------------------------

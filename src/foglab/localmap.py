@@ -16,6 +16,7 @@ The serialized form is line oriented (see docs/file_formats.md):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,8 +43,8 @@ def sort_pairs(frame: np.ndarray, landmark: np.ndarray):
     if they are in order already) and masks over the sorted rows of those
     that repeat the previous row's frame, and its (frame, landmark) pair."""
     order = slice(None)
-    if not np.all((frame[:-1] < frame[1:])
-                  | ((frame[:-1] == frame[1:]) & (landmark[:-1] <= landmark[1:]))):
+    if not np.logical_and.reduce((frame[:-1] < frame[1:])
+                                 | ((frame[:-1] == frame[1:]) & (landmark[:-1] <= landmark[1:]))):
         order = np.lexsort((landmark, frame))
     frame, landmark = frame[order], landmark[order]
     same_frame = np.zeros(frame.size, dtype=bool)
@@ -169,18 +170,24 @@ class ObservationSet:
         if not (frame.shape == landmark.shape == distance.shape == radiance.shape
                 == (frame.size,)):
             raise ValueError("observation columns must be 1-D and equally long")
-        if not (np.all(np.isfinite(distance)) and np.all(distance > 0)):
+        # NaN fails every test; the size guards keep empty columns valid
+        if distance.size and not (np.minimum.reduce(distance) > 0
+                                  and np.maximum.reduce(distance) < np.inf):
             raise ValueError("observation distances must be positive and finite")
-        if not np.all(np.isfinite(radiance)):
+        if radiance.size and not (np.minimum.reduce(radiance) > -np.inf
+                                  and np.maximum.reduce(radiance) < np.inf):
             raise ValueError("observation radiances must be finite")
         order = np.lexsort((frame, distance, landmark))
         self.frame, self.landmark = frame[order], landmark[order]
         self.distance, self.radiance = distance[order], radiance[order]
         first = np.ones(order.size, dtype=bool)
         first[1:] = self.landmark[1:] != self.landmark[:-1]
-        self.slot = np.cumsum(first) - 1
+        self.slot = first.cumsum() - 1
         self.near = np.flatnonzero(first)
-        self.far = np.flatnonzero(np.roll(first, -1))
+        # a block ends where the next one starts, the last at the last row
+        self.far = np.empty_like(self.near)
+        self.far[:-1] = self.near[1:] - 1
+        self.far[-1:] = order.size - 1
         for col in (self.frame, self.landmark, self.distance, self.radiance,
                     self.slot, self.near, self.far):
             col.flags.writeable = False
@@ -262,17 +269,17 @@ def _parse_position(parts: list[str], lineno: int):
     if len(parts) != 3:
         raise MapFormatError("positions take exactly 3 coordinates", lineno)
     position = tuple(_numbers(parts, float, "coordinate", lineno))
-    if not all(np.isfinite(position)):
+    if not all(map(math.isfinite, position)):
         raise MapFormatError("coordinates must be finite", lineno)
     return position
 
 
-_ID_RANGE = np.iinfo(np.int64)
+_ID_MIN, _ID_MAX = -2 ** 63, 2 ** 63 - 1         # np.int64's range
 
 
 def _parse_id(token: str, kind: str, lineno: int) -> int:
     [value] = _numbers([token], int, f"{kind} id", lineno)
-    if not _ID_RANGE.min <= value <= _ID_RANGE.max:
+    if not _ID_MIN <= value <= _ID_MAX:
         raise MapFormatError(f"id {value} does not fit in 64 bits", lineno)
     return value
 

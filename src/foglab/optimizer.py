@@ -115,17 +115,20 @@ class ResidualProblem:
             if self.n_global is None or not 0 <= self.n_global < self.n_params:
                 raise ValueError("slot needs 0 <= n_global < n_params")
             if (self.slot.ndim != 1 or self.slot.dtype.kind not in "iu"
-                    or np.any(self.slot < 0)
-                    or np.any(self.slot >= self.n_params - self.n_global)):
+                    or self.slot.size and not (
+                        np.minimum.reduce(self.slot) >= 0
+                        and np.maximum.reduce(self.slot) < self.n_params - self.n_global)):
                 raise ValueError("slot entries must be integers in "
                                  "[0, n_params - n_global)")
         if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if np.any(self.weights < 0) or not np.all(np.isfinite(self.weights)):
+            w = self.weights = np.asarray(self.weights, dtype=float)
+            # NaN fails the first test, inf the second
+            if w.size and not (np.minimum.reduce(w, axis=None) >= 0
+                               and math.isfinite(np.maximum.reduce(w, axis=None))):
                 raise ValueError("weights must be finite and non-negative")
         self.lower = self._box(self.lower, -np.inf)
         self.upper = self._box(self.upper, np.inf)
-        if np.any(self.lower > self.upper):
+        if np.logical_or.reduce(self.lower > self.upper):
             raise ValueError("lower bounds exceed upper bounds")
 
     def _box(self, b, fill):
@@ -272,7 +275,7 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
     if x0.shape != (problem.n_params,):
         raise ValueError("x0 must have one entry per parameter")
     lo, hi = problem.lower, problem.upper
-    x = np.clip(x0, lo, hi)
+    x = np.minimum(np.maximum(x0, lo), hi)
     delta = problem.huber_delta
 
     n_res = np.asarray(problem.residual(x)).shape[0]

@@ -8,6 +8,11 @@ and ``compress`` is its inverse. Maps are calibrated per channel from
 (intensity, optical power) series by least squares: for a fixed gamma the
 best (alpha, zeta) is a linear problem, and gamma itself is found by a grid
 scan plus golden-section refinement over [0.2, 5].
+
+``expand`` and ``compress`` evaluate the power with numpy's ``power``, which
+gives the same bits for one element as for that element inside a longer
+array, so callers may stack their inputs into one call. Python's ``**`` on
+floats does not always agree with it in the last bit.
 """
 
 from __future__ import annotations
@@ -57,7 +62,9 @@ class GammaMap:
 def expand(gmap: GammaMap, i):
     """Map intensities in [0, 255] to radiances."""
     i = np.asarray(i, dtype=float)
-    if not np.all(np.isfinite(i)) or np.any(i < 0) or np.any(i > 255):
+    # NaN fails both comparisons
+    if i.size and not (np.minimum.reduce(i, axis=None) >= 0
+                       and np.maximum.reduce(i, axis=None) <= 255):
         raise ValueError("intensities must lie in [0, 255]")
     out = gmap.alpha * i ** gmap.gamma + gmap.zeta
     return float(out) if np.ndim(out) == 0 else out
@@ -69,8 +76,9 @@ def compress(gmap: GammaMap, l, clamp: bool = False):
     l = np.asarray(l, dtype=float)
     lo, hi = gmap.radiance_range
     if clamp:
-        l = np.clip(l, lo, hi)
-    elif not np.all(np.isfinite(l)) or np.any(l < lo) or np.any(l > hi):
+        l = np.minimum(np.maximum(l, lo), hi)
+    elif l.size and not (np.minimum.reduce(l, axis=None) >= lo
+                         and np.maximum.reduce(l, axis=None) <= hi):
         raise ValueError(f"radiance outside [{lo}, {hi}]; pass clamp=True to clip")
     out = ((l - gmap.zeta) / gmap.alpha) ** (1.0 / gmap.gamma)
     return float(out) if np.ndim(out) == 0 else out

@@ -67,7 +67,9 @@ class IntensityFogParams:
 
 def _check_distance(d) -> np.ndarray:
     d = np.asarray(d, dtype=float)
-    if not np.all(np.isfinite(d)) or np.any(d < 0):
+    # NaN fails both tests
+    if d.size and not (np.minimum.reduce(d, axis=None) >= 0
+                       and np.maximum.reduce(d, axis=None) < np.inf):
         raise ValueError("distances must be finite and non-negative")
     return d
 

@@ -104,7 +104,7 @@ def _sample(spec: SceneSpec, fog: FogParams, gmap: GammaMap, noise: NoiseSpec,
     if spec.value_range is not None:
         lo, hi = spec.value_range
     else:
-        lo, hi = expand(gmap, 20.0), expand(gmap, 235.0)
+        lo, hi = expand(gmap, [20.0, 235.0]).tolist()
     clear = rng_vals.uniform(lo, hi, size=spec.n_landmarks)
     radiance = predict_radiance(clear[:, None], fog, d)
     if noise.domain == "radiance":
@@ -120,7 +120,7 @@ def _sample(spec: SceneSpec, fog: FogParams, gmap: GammaMap, noise: NoiseSpec,
         bad = rng_noise.choice(spec.n_landmarks, size=n_bad, replace=False)
         bias = noise.offmodel_bias_std * rng_noise.standard_normal(n_bad)
         intensity[bad, :] = intensity[bad, :] + bias[:, None]
-    intensity = np.clip(intensity, 0.0, 255.0)
+    intensity = np.minimum(np.maximum(intensity, 0.0), 255.0)
     if noise.quantize:
         intensity = np.rint(intensity)
     return d, clear, radiance, intensity
@@ -195,10 +195,10 @@ def gamma_bias_experiment(trials: int, beta_gt: float, gmap: GammaMap,
         raise ValueError("need at least one trial")
     # dark landmarks against bright fog: the high-contrast regime where the
     # response nonlinearity matters most
-    spec = SceneSpec(n_landmarks=15, n_frames=6,
-                     value_range=(expand(gmap, 20.0), expand(gmap, 120.0)),
+    lo, hi, l_inf = expand(gmap, [20.0, 120.0, GAMMA_BIAS_A_INTENSITY]).tolist()
+    spec = SceneSpec(n_landmarks=15, n_frames=6, value_range=(lo, hi),
                      start_distance_range=(60.0, 110.0), frame_spacing=10.0)
-    fog = FogParams(beta_gt, expand(gmap, GAMMA_BIAS_A_INTENSITY))
+    fog = FogParams(beta_gt, l_inf)
 
     identity = GammaMap.identity()
     landmark, frame = np.indices((spec.n_landmarks, spec.n_frames)).reshape(2, -1)

@@ -17,7 +17,7 @@ from foglab.estimator import (DEFAULT_BETA_INIT, INLIER_COUNT_DTYPE,
                               initialize, parse_estimate_record,
                               residual_and_jacobian)
 from foglab.localmap import Observation, ObservationSet, generate_dr_pairs, save_map
-from foglab.photometry import GammaMap
+from foglab.photometry import GammaMap, compress, expand
 from foglab.scattering import FogParams, transmission
 from foglab.simulator import NoiseSpec, SceneSpec, generate_scene
 
@@ -462,3 +462,164 @@ def test_record_parse_rejects_a_repeated_field():
 def test_record_parse_rejects_a_value_of_the_wrong_type(field, value):
     with pytest.raises(MapFormatError, match=f"bad record field '{field}'"):
         parse_estimate_record(record_line(**{field: value}))
+
+
+# --- bitwise reference ----------------------------------------------------------
+# The set-up helpers as they were before each became one numpy call over
+# stacked inputs, verbatim but for their names. The stacked forms must
+# reproduce them bit for bit: numpy's power gives the same bits for an
+# element alone and inside a longer array.
+
+def reference_expand(gmap: GammaMap, i):
+    """Map intensities in [0, 255] to radiances."""
+    i = np.asarray(i, dtype=float)
+    if not np.all(np.isfinite(i)) or np.any(i < 0) or np.any(i > 255):
+        raise ValueError("intensities must lie in [0, 255]")
+    out = gmap.alpha * i ** gmap.gamma + gmap.zeta
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def reference_compress(gmap: GammaMap, l, clamp: bool = False):
+    """Inverse of :func:`expand`; radiances outside the map's range raise
+    unless ``clamp`` is set."""
+    l = np.asarray(l, dtype=float)
+    lo, hi = gmap.radiance_range
+    if clamp:
+        l = np.clip(l, lo, hi)
+    elif not np.all(np.isfinite(l)) or np.any(l < lo) or np.any(l > hi):
+        raise ValueError(f"radiance outside [{lo}, {hi}]; pass clamp=True to clip")
+    out = ((l - gmap.zeta) / gmap.alpha) ** (1.0 / gmap.gamma)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def reference_derive_bounds(obs, gmap, eta=EstimatorConfig.eta,
+                            beta_bounds=EstimatorConfig.beta_bounds):
+    lo_all = reference_expand(gmap, 0.0)
+    hi_all = reference_expand(gmap, 255.0)
+    near_l, far_l = obs.radiance[obs.near], obs.radiance[obs.far]
+    spread = obs.distance[obs.far] - obs.distance[obs.near]
+    rise = (reference_compress(gmap, far_l, clamp=True)
+            - reference_compress(gmap, near_l, clamp=True))
+    slope = np.divide(rise, spread, out=np.zeros_like(rise), where=spread > 0)
+    # noise can push observed radiances slightly out of the map's range;
+    # clamp so the box stays ordered
+    near_c, far_c = np.clip(near_l, lo_all, hi_all), np.clip(far_l, lo_all, hi_all)
+    lo = np.where(slope < -eta, near_c, lo_all)
+    hi = np.where(slope > eta, near_c, hi_all)
+    candidates = far_c[slope > eta]
+    if candidates.size:
+        l_inf_lo = min(float(np.median(candidates)), float(np.median(far_l)))
+    else:
+        l_inf_lo = lo_all
+    return (np.concatenate(([beta_bounds[0], l_inf_lo], lo)),
+            np.concatenate(([beta_bounds[1], hi_all], hi)))
+
+
+def reference_initialize(obs, state, bounds):
+    ids = obs.landmark_ids
+    prev = state.previous
+    x = np.empty(2 + len(ids))
+    if prev is None:
+        x[0], x[1] = DEFAULT_BETA_INIT, float(np.median(obs.radiance[obs.far]))
+        x[2:] = obs.radiance[obs.near]
+    else:
+        x[0], x[1] = prev.beta, prev.l_inf
+        x[2:] = [prev.lc.get(n, L) for n, L in zip(ids, obs.radiance[obs.near].tolist())]
+    return np.clip(x, bounds.lower, bounds.upper)
+
+
+def reference_huber_delta_radiance(gmap, delta_intensity):
+    mid = 127.5
+    return (reference_expand(gmap, mid + delta_intensity / 2.0)
+            - reference_expand(gmap, mid - delta_intensity / 2.0))
+
+
+def _reference_maps():
+    """The identity and gamma in [0.2, 5] with zeta < 0, = 0 and > 0, each
+    map's alpha putting 255 near 255."""
+    maps = {"identity": IDENT}
+    rng = np.random.default_rng(14)
+    for k, gamma in enumerate(np.linspace(0.2, 5.0, 12) + rng.uniform(-0.1, 0.1, 12)):
+        gamma = float(np.clip(gamma, 0.2, 5.0))
+        zeta = (-1.0, 0.0, 1.0)[k % 3] * float(rng.uniform(0.01, 20.0))
+        name = f"gamma-{gamma:.3f}-zeta-{('neg', 'zero', 'pos')[k % 3]}"
+        maps[name] = GammaMap(float(rng.uniform(0.5, 2.0)) * 255.0 ** (1.0 - gamma), gamma, zeta)
+    return maps
+
+
+REFERENCE_MAPS = _reference_maps()
+
+
+def random_reference_obs(rng, gmap, n_landmarks, spread=20.0, flat_landmark=False):
+    """Landmarks of 2-7 rows at random radiances, some pushed just outside
+    the map's range; with ``flat_landmark`` the first has no distance spread."""
+    lo, hi = gmap.radiance_range
+    frame, landmark, distance, radiance = [], [], [], []
+    for n in range(n_landmarks):
+        k = int(rng.integers(2, 8))
+        d = 30.0 + rng.uniform(0.0, 100.0) + np.sort(rng.uniform(0.0, spread, k))
+        if flat_landmark and n == 0:
+            d[:] = d[0]
+        r = reference_expand(gmap, rng.uniform(0.0, 255.0, k))
+        r += rng.normal(0.0, 0.01 * (hi - lo), k) * (rng.random(k) < 0.3)
+        frame += range(k)
+        landmark += [n] * k
+        distance += d.tolist()
+        radiance += r.tolist()
+    return ObservationSet.from_columns(frame, landmark, distance, radiance)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", REFERENCE_MAPS)
+def test_expand_and_compress_match_the_reference_bitwise(name):
+    gmap = REFERENCE_MAPS[name]
+    rng = np.random.default_rng(len(name))
+    i = np.concatenate(([0.0, 255.0, 127.5], rng.uniform(0.0, 255.0, 200)))
+    l = reference_expand(gmap, i)
+    assert_same_bits(expand(gmap, i), l)
+    assert [expand(gmap, v) for v in i[:20].tolist()] == l[:20].tolist()
+    assert_same_bits(compress(gmap, l), reference_compress(gmap, l))
+    lo, hi = gmap.radiance_range
+    wide = np.concatenate((l, [lo - 1.0, hi + 1.0, lo, hi]))
+    assert_same_bits(compress(gmap, wide, clamp=True),
+                     reference_compress(gmap, wide, clamp=True))
+    assert compress(gmap, hi + 1.0, clamp=True) == reference_compress(gmap, hi + 1.0, clamp=True)
+
+
+@pytest.mark.parametrize("name", REFERENCE_MAPS)
+@pytest.mark.parametrize("case", ["random", "no-steep", "flat-landmark", "even", "odd"])
+def test_setup_helpers_match_the_reference_bitwise(name, case):
+    gmap = REFERENCE_MAPS[name]
+    rng = np.random.default_rng([len(name), len(case)])
+    n_landmarks = {"even": 16, "odd": 15}.get(case, int(rng.integers(1, 30)))
+    # spread 1e5 m makes every slope shallow: no l_inf candidates
+    obs = random_reference_obs(rng, gmap, n_landmarks,
+                               spread=1e5 if case == "no-steep" else 20.0,
+                               flat_landmark=case == "flat-landmark")
+    bounds = derive_bounds(obs, gmap)
+    want_lower, want_upper = reference_derive_bounds(obs, gmap)
+    assert_same_bits(bounds.lower, want_lower)
+    assert_same_bits(bounds.upper, want_upper)
+    if case == "no-steep":
+        assert bounds.lower[1] == gmap.zeta
+    previous = FogEstimate(0.5, float(bounds.upper[1]) + 1.0,
+                           {0: float(bounds.lower[2]) - 1.0, 2: 7.0})
+    for state in (EstimatorState(), EstimatorState(previous=previous)):
+        assert_same_bits(initialize(obs, state, bounds),
+                         reference_initialize(obs, state, bounds))
+    for delta in [5.0, 255.0] + rng.uniform(0.0, 255.0, 20).tolist():
+        assert huber_delta_radiance(gmap, delta).hex() == \
+            reference_huber_delta_radiance(gmap, delta).hex()
+
+
+def test_lean_median_matches_numpy_bitwise():
+    rng = np.random.default_rng(3)
+    for size in range(1, 60):
+        for values in (rng.normal(100.0, 50.0, size), rng.integers(0, 4, size) * 0.1):
+            got = foglab.estimator._median(values)
+            assert got.hex() == float(np.median(values)).hex()

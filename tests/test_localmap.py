@@ -1,5 +1,6 @@
 """Local map graph, landmark selection, and the line-oriented map format."""
 
+import math
 import warnings
 
 import numpy as np
@@ -69,6 +70,9 @@ def test_observations_sorted_by_distance_then_frame():
         assert rows == sorted(rows)
         ids = obs.landmark_ids
         assert obs.slot.tolist() == [ids.index(n) for n, _, _ in rows]
+        blocks = [[i for i, row in enumerate(rows) if row[0] == n] for n in ids]
+        assert (obs.near.tolist(), obs.far.tolist()) == \
+            ([b[0] for b in blocks], [b[-1] for b in blocks])
         assert {n: set(obs.groups[n]) for n in ids} == \
             {n: set(UNSORTED_GROUPS[n]) for n in ids}
     assert ObservationSet(UNSORTED_GROUPS).landmark_ids == [2, 7]
@@ -76,12 +80,15 @@ def test_observations_sorted_by_distance_then_frame():
 
 @pytest.mark.parametrize("distance, radiance", [
     (10.0, float("nan")), (10.0, float("inf")), (0.0, 100.0),
-    (float("inf"), 100.0), (-5.0, 100.0)])
+    (float("inf"), 100.0), (-5.0, 100.0), (10.0, float("-inf")),
+    (float("nan"), 100.0), (float("-inf"), 100.0), (-0.0, 100.0)])
 def test_observations_are_validated_when_built(distance, radiance):
-    with pytest.raises(ValueError, match="distances|radiances"):
+    message = ("^observation distances must be positive and finite$"
+               if not 0 < distance < math.inf else "^observation radiances must be finite$")
+    with pytest.raises(ValueError, match=message):
         ObservationSet({0: (Observation(0, 10.0, 100.0),
                             Observation(1, distance, radiance))})
-    with pytest.raises(ValueError, match="distances|radiances"):
+    with pytest.raises(ValueError, match=message):
         ObservationSet.from_columns([0], [0], [distance], [radiance])
 
 
@@ -197,6 +204,7 @@ def test_frame_subset():
 def test_empty_graph_yields_no_observations():
     obs = generate_dr_pairs(LocalMapGraph(), GammaMap.identity())
     assert obs.groups == {} and obs.n_observations == 0
+    assert ObservationSet({}).far.size == 0
     with pytest.raises(NotEnoughDataError, match="0 qualifying landmarks"):
         estimate(obs, GammaMap.identity(), EstimatorState())
 
@@ -271,6 +279,9 @@ def test_load_reports_line_numbers(tmp_path):
             ("edge 0 3.0 5.0 100", edge_syntax),
             (f"frame {too_big}", "does not fit in 64 bits"),
             (f"landmark -{too_big}", "does not fit in 64 bits"),
+            ("frame 9223372036854775808", "does not fit in 64 bits"),
+            ("landmark -9223372036854775809", "does not fit in 64 bits"),
+            ("frame 0 0 -inf 0", "coordinates must be finite"),
             ("frame 1_0", "bad frame id: '_' in '1_0'"),
             ("frame 0 4 5 6", "repeated frame 0"),
             ("landmark 3", "repeated landmark 3"),

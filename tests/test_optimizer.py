@@ -143,16 +143,26 @@ def test_robust_scale_validation():
 def test_problem_validation():
     with pytest.raises(ValueError, match="huber_delta"):
         scalar_problem(huber_delta=0.0)
-    with pytest.raises(ValueError, match="weights"):
-        scalar_problem(weights=np.array([-1.0]))
-    with pytest.raises(ValueError, match="bounds"):
+    for weights in ([-1.0], [1.0, -1e-300], [np.nan], [2.0, np.inf], [-np.inf], np.nan):
+        with pytest.raises(ValueError, match="^weights must be finite and non-negative$"):
+            scalar_problem(weights=weights)
+    with pytest.raises(ValueError, match="^lower bounds exceed upper bounds$"):
         scalar_problem(lower=np.array([3.0]), upper=np.array([1.0]))
     with pytest.raises(ValueError, match="bounds"):
         scalar_problem(lower=np.array([0.0, 0.0]))
-    for slot, n_global in (([0, 1], None), ([0, 1], 2), ([0, -1], 1), ([0.0], 1)):
+    # n_params 2, n_global 1: one local parameter, so slot 1 is out of range
+    for slot, n_global in (([0, 1], None), ([0, 1], 2), ([0, -1], 1), ([0.0], 1),
+                           ([0, 1], 1), ([-1], 1)):
         with pytest.raises(ValueError, match="slot"):
             ResidualProblem(2, scalar_problem().residual, scalar_problem().jacobian,
                             slot=np.array(slot), n_global=n_global)
+    message = r"^slot entries must be integers in \[0, n_params - n_global\)$"
+    with pytest.raises(ValueError, match=message):
+        ResidualProblem(3, scalar_problem().residual, scalar_problem().jacobian,
+                        slot=np.array([0, 2]), n_global=1)
+    # empty weights and slots pass construction; solve checks their lengths
+    ResidualProblem(2, scalar_problem().residual, scalar_problem().jacobian,
+                    weights=np.zeros(0), slot=np.zeros(0, dtype=int), n_global=1)
     with pytest.raises(ValueError, match="n_global needs slot"):
         scalar_problem(n_global=0)
 

@@ -1,5 +1,7 @@
 """Gamma expansion/compression and calibration fitting."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -29,16 +31,24 @@ def test_compress_inverts_expand():
 
 def test_expand_rejects_out_of_range_intensity():
     gmap = GammaMap.identity()
-    with pytest.raises(ValueError):
-        expand(gmap, -0.5)
-    with pytest.raises(ValueError):
-        expand(gmap, 255.5)
+    for bad in (-0.5, 255.5, np.nan, np.inf, -np.inf, -1e-300, 255 + 1e-13):
+        for i in (bad, [bad], [100.0, bad, 3.0]):
+            with pytest.raises(ValueError, match=re.escape("intensities must lie in [0, 255]")):
+                expand(gmap, i)
+    assert expand(gmap, []).shape == (0,)
+    assert expand(gmap, [-0.0, 255.0]).tolist() == [0.0, 255.0]
 
 
 def test_compress_clamp_behavior():
     gmap = GammaMap(alpha=2.0, gamma=1.0, zeta=10.0)   # radiance range [10, 520]
-    with pytest.raises(ValueError):
-        compress(gmap, 5.0)
+    message = "radiance outside [10.0, 520.0]; pass clamp=True to clip"
+    for bad in (5.0, 520.5, 10.0 - 1e-12, np.nan, np.inf, -np.inf):
+        for l in (bad, [bad], [100.0, bad]):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                compress(gmap, l)
+    assert compress(gmap, []).shape == (0,)
+    assert compress(gmap, [10.0, 520.0]).tolist() == [0.0, 255.0]
+    assert np.isnan(compress(gmap, np.nan, clamp=True))
     assert compress(gmap, 5.0, clamp=True) == 0.0
     assert compress(gmap, 600.0, clamp=True) == 255.0
 

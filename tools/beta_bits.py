@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Print the exact bits of every beta a perfbench workload computes.
+
+    python3 tools/beta_bits.py CHECKOUT WORKLOAD SEED N [--smoke]
+
+Runs ops 0..N-1 of the perfbench workload WORKLOAD (stream, bigmap, trials
+or recovery) at SEED, with ``foglab`` imported from ``CHECKOUT/src``. The
+workload code is this repository's ``perfbench/workloads.py``, so two
+checkouts run the same ops; its inputs are written to a temporary directory
+outside both trees. Prints one JSON line per op: the op index, the hex of
+every beta the op returns, and each solve's (iterations, stop reason) in
+call order. Two checkouts compute bitwise the same estimates when their
+outputs are equal:
+
+    python3 tools/beta_bits.py ../parent trials 1 300 > parent.txt
+    python3 tools/beta_bits.py . trials 1 300 > change.txt
+    diff parent.txt change.txt
+
+As in perfbench, BLAS runs on one thread, since the LM path depends on the
+BLAS reduction order. ``--smoke`` uses perfbench's tiny input sizes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("checkout", type=Path, help="foglab checkout whose src/ is imported")
+    p.add_argument("workload", choices=("stream", "bigmap", "trials", "recovery"))
+    p.add_argument("seed", type=int)
+    p.add_argument("n", type=int, help="number of ops, from op 0")
+    p.add_argument("--smoke", action="store_true", help="perfbench's tiny inputs")
+    return p.parse_args(argv)
+
+
+def record_solves(reports: list) -> None:
+    """Wrap ``optimizer.solve`` in every foglab module that holds it, so that
+    each call appends its ``SolveReport`` to ``reports``."""
+    from foglab import optimizer
+    solve = optimizer.solve
+
+    def recorded(*args, **kwargs):
+        report = solve(*args, **kwargs)
+        reports.append(report)
+        return report
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "foglab" and getattr(module, "solve", None) is solve:
+            module.solve = recorded
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    src = (args.checkout / "src").resolve()
+    if not (src / "foglab").is_dir():
+        print(f"no foglab package under {src}", file=sys.stderr)
+        return 2
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"               # before numpy is imported
+    sys.path[:0] = [str(src), str(PERFBENCH)]
+    sys.dont_write_bytecode = True          # leave no __pycache__ in perfbench/
+    import foglab
+    if Path(foglab.__file__).resolve().parent != src / "foglab":
+        print(f"foglab was imported from {foglab.__file__}, not {src}", file=sys.stderr)
+        return 2
+    import workloads
+
+    reports: list = []
+    record_solves(reports)
+    with tempfile.TemporaryDirectory(prefix="beta_bits-") as workdir:
+        workload = workloads.WORKLOADS[args.workload](args.seed, args.smoke, workdir)
+        workload.setup()
+        op = workload.runner()
+        for i in range(args.n):
+            reports.clear()
+            result = op(i)
+            line = {"op": i, "failed": result.failed,
+                    "betas": [float(b).hex() for b in result.betas],
+                    "solves": [[r.iterations, r.reason] for r in reports]}
+            print(json.dumps(line), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
