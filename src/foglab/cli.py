@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import baselines, harness, simulator
-from .errors import DataError, NotEnoughDataError
+from .errors import DataError, NotEnoughDataError, parse_number
 from .estimator import (DEFAULT_BETA_BOUNDS, EstimatorConfig, EstimatorState, estimate,
                         format_estimate_record)
 from .localmap import generate_dr_pairs, load_map, save_map
@@ -81,7 +81,7 @@ def _config_value(key: str, value, default):
 def _csv_number(reader: csv.DictReader, rec: dict, column: str) -> float:
     """``rec[column]`` as a float; a missing or non-numeric value names its line."""
     try:
-        return float(rec[column])
+        return parse_number(rec[column])
     except (TypeError, ValueError):
         raise DataError(f"csv line {reader.line_num}: {column} must be a number, "
                         f"got {rec[column]!r}") from None

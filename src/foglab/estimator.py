@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateDataError, MapFormatError, NotEnoughDataError
+from .errors import DegenerateDataError, MapFormatError, NotEnoughDataError, parse_number
 from .localmap import ObservationSet, sort_pairs
 from .optimizer import ResidualProblem, SolveReport, solve
 from .photometry import GammaMap, check_channel, compress, expand
@@ -119,21 +119,22 @@ def derive_bounds(obs: ObservationSet, gmap: GammaMap,
     the clear radiance from below the same way. Flat landmarks get the
     neutral range of the gamma map.
     """
-    lo_all, hi_all = expand(gmap, [0.0, 255.0]).tolist()
+    lo_all, hi_all = gmap.radiance_range
     # each landmark's nearest row, then each one's farthest: one array, so
-    # that each gamma-map call and clamp below is one numpy call
+    # that the clamp and the gamma-map call below are one numpy call each
     ends = np.concatenate((obs.near, obs.far))
     ends_l = obs.radiance[ends]
     far_l = ends_l[obs.near.size:]
     near_d, far_d = obs.distance[ends].reshape(2, -1)
-    near_i, far_i = compress(gmap, ends_l, clamp=True).reshape(2, -1)
+    # noise can push observed radiances slightly out of the map's range;
+    # clamp so the box stays ordered
+    ends_c = np.minimum(np.maximum(ends_l, lo_all), hi_all)
+    near_c, far_c = ends_c.reshape(2, -1)
+    near_i, far_i = compress(gmap, ends_c).reshape(2, -1)
     spread = far_d - near_d
     rise = far_i - near_i
     slope = np.divide(rise, spread, out=np.zeros_like(rise), where=spread > 0)
     steep = slope > eta
-    # noise can push observed radiances slightly out of the map's range;
-    # clamp so the box stays ordered
-    near_c, far_c = np.minimum(np.maximum(ends_l, lo_all), hi_all).reshape(2, -1)
     lo = np.where(slope < -eta, near_c, lo_all)
     hi = np.where(steep, near_c, hi_all)
     candidates = far_c[steep]
@@ -344,18 +345,15 @@ def format_estimate_record(frame: int, channel: str, result: EstimateResult) -> 
 
 def _record_value(key: str, val: str):
     """One field's value, in the grammar :func:`format_estimate_record`
-    writes; ValueError otherwise. As in map files, Python's ``_`` digit
-    groups are refused."""
-    if "_" in val:
-        raise ValueError(f"'_' in {val!r}")
+    writes; ValueError otherwise."""
     if key == "channel":
         return check_channel(val)
     if key in ("frame", "degraded"):
-        value = int(val)
+        value = parse_number(val, int)
         if key == "degraded" and value not in (0, 1):
             raise ValueError(f"degraded is 0 or 1, got {value}")
         return value
-    value = float(val)
+    value = parse_number(val)
     if key == "inlier_fraction" and not 0.0 <= value <= 1.0:
         raise ValueError(f"inlier_fraction lies in [0, 1], got {value}")
     return value

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MapFormatError
+from .errors import MapFormatError, parse_number
 from .photometry import CHANNEL_NAMES, GammaMap, check_channel, expand
 from .scattering import luma
 
@@ -252,13 +252,9 @@ def save_map(graph: LocalMapGraph, path) -> None:
 
 
 def _numbers(tokens: list[str], convert, what: str, lineno: int) -> list:
-    """``convert`` of each token. Python's ``_`` digit groups are refused, as
-    ``np.loadtxt`` refuses them in edge records, so the file has one grammar."""
+    """:func:`parse_number` of each token."""
     try:
-        for token in tokens:
-            if "_" in token:
-                raise ValueError(f"'_' in {token!r}")
-        return [convert(token) for token in tokens]
+        return [parse_number(token, convert) for token in tokens]
     except ValueError as exc:
         raise MapFormatError(f"bad {what}: {exc}", lineno) from exc
 

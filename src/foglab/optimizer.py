@@ -175,23 +175,6 @@ def _huber_factor(root: np.ndarray, outside: np.ndarray, delta: float) -> np.nda
     return factor
 
 
-def robust_scale(raw: np.ndarray, delta: Optional[float] = None):
-    """Return (scaled residuals, Jacobian row factors) for the Huber loss of
-    width ``delta``, or for squared loss when ``delta`` is None.
-
-    The scaled residual squares to the loss value and the factor is its
-    derivative with respect to the raw residual, so a plain least-squares
-    solve on the scaled system minimizes the robust objective.
-    """
-    raw = np.asarray(raw, dtype=float)
-    if delta is None:
-        return raw, np.ones_like(raw)
-    if not delta > 0:
-        raise ValueError("huber delta must be positive")
-    root, outside = _huber_root(raw, delta)
-    return np.copysign(root, raw), _huber_factor(root, outside, delta)
-
-
 def _arrowhead(cols: np.ndarray, n_global: int, flat: Optional[np.ndarray],
                n_local: int):
     """A function that returns the arrowhead of the scaled system from its

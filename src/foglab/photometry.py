@@ -12,7 +12,9 @@ scan plus golden-section refinement over [0.2, 5].
 ``expand`` and ``compress`` evaluate the power with numpy's ``power``, which
 gives the same bits for one element as for that element inside a longer
 array, so callers may stack their inputs into one call. Python's ``**`` on
-floats does not always agree with it in the last bit.
+floats does not always agree with it in the last bit. A map's
+``radiance_range`` is ``expand`` at intensities 0 and 255, so ``compress``
+accepts every radiance ``expand`` gives.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegenerateDataError, MapFormatError
+from .errors import DataError, DegenerateDataError, MapFormatError, parse_number
 
 GAMMA_SEARCH_RANGE = (0.2, 5.0)
 # gray first, then the color channels in the order a color map stores them
@@ -55,8 +57,9 @@ class GammaMap:
 
     @property
     def radiance_range(self) -> tuple[float, float]:
-        """Radiances reachable from intensities in [0, 255]."""
-        return self.zeta, self.alpha * 255.0 ** self.gamma + self.zeta
+        """Radiances reachable from intensities in [0, 255]: ``expand`` at 0
+        and 255."""
+        return tuple(expand(self, [0.0, 255.0]).tolist())
 
 
 def expand(gmap: GammaMap, i):
@@ -205,7 +208,7 @@ def load_gamma_file(path) -> ChannelGammaMaps:
             if name in found:
                 raise MapFormatError(f"duplicate channel {name!r}", lineno)
             try:
-                alpha, gamma, zeta = (float(x) for x in parts[1:])
+                alpha, gamma, zeta = map(parse_number, parts[1:])
                 found[check_channel(name)] = GammaMap(alpha, gamma, zeta)
             except ValueError as exc:
                 raise MapFormatError(str(exc), lineno) from exc

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MapFormatError
+from .errors import MapFormatError, parse_number
 
 _DIST_MAGIC = b"distmap float32"
 
@@ -57,11 +57,11 @@ def _read_pnm_tokens(data: bytes, count: int):
 def _ints(tokens: list[bytes], what: str) -> list[int]:
     out = []
     for t in tokens:
+        t = t.decode("ascii", "replace")
         try:
-            out.append(int(t))
+            out.append(parse_number(t, int))
         except ValueError:
-            raise MapFormatError(f"{what} {t.decode('ascii', 'replace')!r} "
-                                 "is not an integer") from None
+            raise MapFormatError(f"{what} {t!r} is not an integer") from None
     return out
 
 
@@ -113,7 +113,8 @@ def read_distance_map(path) -> np.ndarray:
         if magic != _DIST_MAGIC:
             raise MapFormatError(f"bad distance map magic {magic!r}")
         try:
-            w, h = (int(t) for t in fh.readline().split())
+            w, h = (parse_number(t.decode("ascii", "replace"), int)
+                    for t in fh.readline().split())
         except ValueError as exc:
             raise MapFormatError(f"bad distance map size line: {exc}") from exc
         if w < 1 or h < 1:

@@ -106,9 +106,7 @@ def synthesize_fog_pixel(j, params: IntensityFogParams, d):
     j = np.asarray(j, dtype=float)
     if not np.all((j >= 0) & (j <= 255)):
         raise ValueError("clear intensities must lie in [0, 255]")
-    t = transmission(params.beta, d)
-    out = j * t + params.a * (1.0 - np.asarray(t))
-    return float(out) if np.ndim(out) == 0 else out
+    return predict_radiance(j, FogParams(params.beta, params.a), d)
 
 
 def synthesize_fog_image(clear: np.ndarray, distance_map: np.ndarray, params) -> np.ndarray:

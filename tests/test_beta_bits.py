@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "beta_bits.py"
 REASONS = {"gradient", "step", "cost", "max-iter"}
@@ -36,6 +38,18 @@ def test_smoke_run_prints_one_line_per_op_and_repeats_exactly():
         # one estimate per stream op: a stage-1 and a stage-2 solve
         assert len(line["solves"]) == 2
         assert all(n >= 1 and reason in REASONS for n, reason in line["solves"])
+
+
+@pytest.mark.parametrize("workload", ["bigmap", "trials", "recovery"])
+def test_smoke_run_of_every_other_workload(workload):
+    proc = run_tool(ROOT, workload, 7, 1, "--smoke")
+    assert proc.returncode == 0, proc.stderr
+    [line] = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert line["op"] == 0 and line["failed"] is False
+    betas = [float.fromhex(b) for b in line["betas"]]
+    assert betas and all(math.isfinite(beta) and beta > 0 for beta in betas)
+    assert line["solves"]
+    assert all(n >= 1 and reason in REASONS for n, reason in line["solves"])
 
 
 def test_a_checkout_without_the_package_is_refused(tmp_path):

@@ -11,7 +11,7 @@ from foglab.estimator import (EstimatorState, estimate, format_estimate_record,
                               parse_estimate_record)
 from foglab.localmap import LocalMapGraph, generate_dr_pairs, save_map
 from foglab.photometry import CHANNEL_NAMES, GammaMap, expand, load_gamma_file
-from foglab.rasters import read_image, write_distance_map, write_image
+from foglab.rasters import read_distance_map, read_image, write_distance_map, write_image
 from foglab.scattering import (FogParams, IntensityFogParams, quantize_to_u8,
                                synthesize_fog_image)
 from foglab.simulator import NoiseSpec, SceneSpec, generate_scene
@@ -142,8 +142,11 @@ def test_baseline_rejects_an_ascii_sample_out_of_range(tmp_path, capsys, sample)
 
 
 @pytest.mark.parametrize("text, what", [("P2\n2 1\n255\n10 x\n", "ascii sample 'x'"),
-                                        ("P2\nx 1\n255\n10\n", "header value 'x'")],
-                         ids=["sample", "header"])
+                                        ("P2\nx 1\n255\n10\n", "header value 'x'"),
+                                        ("P2\n2 1\n255\n1_0 20\n", "ascii sample '1_0'"),
+                                        ("P2\n2 1\n25_5\n10 20\n", "header value '25_5'")],
+                         ids=["sample", "header", "sample-digit-groups",
+                              "header-digit-groups"])
 def test_read_image_rejects_a_non_integer_ascii_token(tmp_path, text, what):
     img_path = tmp_path / "frame.pgm"
     img_path.write_text(text)
@@ -166,6 +169,13 @@ def test_synthesize_fog_rejects_a_distance_map_size_below_one(tmp_path, capsys):
     assert run("synthesize-fog", "--clear", tmp_path / "clear.pgm",
                "--distances", tmp_path / "d.dist", "--out", tmp_path / "f.pgm") == 1
     assert "distance map size -2x-2 is empty or negative" in capsys.readouterr().err
+
+
+def test_read_distance_map_refuses_digit_groups(tmp_path):
+    path = tmp_path / "d.dist"
+    path.write_bytes(b"distmap float32\n1_0 1\n" + bytes(40))
+    with pytest.raises(MapFormatError, match="^bad distance map size line: '_' in '1_0'$"):
+        read_distance_map(path)
 
 
 def test_baseline_with_explicit_a(tmp_path, capsys):
@@ -261,6 +271,13 @@ def test_fit_gamma_names_a_row_without_power(tmp_path, capsys):
     assert run("fit-gamma", "--csv", csv_path, "--out", tmp_path / "o.gamma") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: csv line 3: power must be a number")
+
+
+def test_fit_gamma_refuses_digit_groups(tmp_path, capsys):
+    csv_path = tmp_path / "calib.csv"
+    csv_path.write_text("channel,intensity,power\ngray,10,1\ngray,2_0,2\n")
+    assert run("fit-gamma", "--csv", csv_path, "--out", tmp_path / "o.gamma") == 1
+    assert capsys.readouterr().err == "error: csv line 3: intensity must be a number, got '2_0'\n"
 
 
 def test_synthesize_fog_command(tmp_path):

@@ -456,7 +456,8 @@ def test_record_parse_rejects_a_repeated_field():
 @pytest.mark.parametrize("field, value", [
     ("frame", "x"), ("degraded", "1.0"), ("beta", "fast"),
     # values that format_estimate_record never writes
-    ("frame", "1_0"), ("beta", "0_05"), ("channel", "purple"), ("degraded", "5"),
+    ("frame", "1_0"), ("beta", "0_05"), ("frame", "\u0661\u0662"), ("beta", "\u0665"),
+    ("channel", "purple"), ("degraded", "5"),
     ("degraded", "-1"), ("inlier_fraction", "7"), ("inlier_fraction", "-0.5"),
     ("inlier_fraction", "nan")])
 def test_record_parse_rejects_a_value_of_the_wrong_type(field, value):
@@ -468,7 +469,13 @@ def test_record_parse_rejects_a_value_of_the_wrong_type(field, value):
 # The set-up helpers as they were before each became one numpy call over
 # stacked inputs, verbatim but for their names. The stacked forms must
 # reproduce them bit for bit: numpy's power gives the same bits for an
-# element alone and inside a longer array.
+# element alone and inside a longer array. ``reference_compress`` reads the
+# map's range as it was then, with Python's ``**`` (``reference_range``), and
+# not ``GammaMap.radiance_range``, which is now ``expand`` at 0 and 255.
+
+def reference_range(gmap: GammaMap):
+    return gmap.zeta, gmap.alpha * 255.0 ** gmap.gamma + gmap.zeta
+
 
 def reference_expand(gmap: GammaMap, i):
     """Map intensities in [0, 255] to radiances."""
@@ -483,7 +490,7 @@ def reference_compress(gmap: GammaMap, l, clamp: bool = False):
     """Inverse of :func:`expand`; radiances outside the map's range raise
     unless ``clamp`` is set."""
     l = np.asarray(l, dtype=float)
-    lo, hi = gmap.radiance_range
+    lo, hi = reference_range(gmap)
     if clamp:
         l = np.clip(l, lo, hi)
     elif not np.all(np.isfinite(l)) or np.any(l < lo) or np.any(l > hi):
@@ -553,7 +560,7 @@ REFERENCE_MAPS = _reference_maps()
 def random_reference_obs(rng, gmap, n_landmarks, spread=20.0, flat_landmark=False):
     """Landmarks of 2-7 rows at random radiances, some pushed just outside
     the map's range; with ``flat_landmark`` the first has no distance spread."""
-    lo, hi = gmap.radiance_range
+    lo, hi = reference_range(gmap)
     frame, landmark, distance, radiance = [], [], [], []
     for n in range(n_landmarks):
         k = int(rng.integers(2, 8))
@@ -585,10 +592,25 @@ def test_expand_and_compress_match_the_reference_bitwise(name):
     assert [expand(gmap, v) for v in i[:20].tolist()] == l[:20].tolist()
     assert_same_bits(compress(gmap, l), reference_compress(gmap, l))
     lo, hi = gmap.radiance_range
+    assert (lo, hi) == tuple(l[:2].tolist())
     wide = np.concatenate((l, [lo - 1.0, hi + 1.0, lo, hi]))
-    assert_same_bits(compress(gmap, wide, clamp=True),
-                     reference_compress(gmap, wide, clamp=True))
-    assert compress(gmap, hi + 1.0, clamp=True) == reference_compress(gmap, hi + 1.0, clamp=True)
+    got = compress(gmap, wide, clamp=True)
+    want = reference_compress(gmap, wide, clamp=True)
+    if name != "gamma-1.113-zeta-pos":
+        assert hi == reference_range(gmap)[1]
+        assert_same_bits(got, want)
+        assert compress(gmap, hi + 1.0, clamp=True) == \
+            reference_compress(gmap, hi + 1.0, clamp=True)
+        return
+    # Python's ``**`` puts this map's top one ulp above expand(255). Only the
+    # values clamped there differ: the reference compresses them to just
+    # above 255, compress to exactly 255.
+    assert reference_range(gmap)[1] == np.nextafter(hi, np.inf)
+    top = wide >= hi
+    assert top.sum() == 3
+    assert_same_bits(got[~top], want[~top])
+    assert got[top].tolist() == [255.0] * 3
+    assert want[top].tolist() == [255.0, 255.00000000000006, 255.0]
 
 
 @pytest.mark.parametrize("name", REFERENCE_MAPS)

@@ -12,7 +12,7 @@ from foglab.localmap import ObservationSet
 from foglab.optimizer import (_COST_TOL, _DAMPING_CEILING, _DAMPING_FLOOR, _GRADIENT_TOL,
                               _INIT_DAMPING, _STEP_TOL, ResidualProblem, SolveReport,
                               _cholesky_solve, _huber_factor, _huber_root, check_jacobian,
-                              robust_scale, solve)
+                              solve)
 
 
 def scalar_problem(**kwargs):
@@ -104,45 +104,46 @@ def test_huber_downweights_outlier():
     assert abs(x_hu) < 1.0
 
 
+def huber_loss(raw, delta):
+    """The Huber loss as the optimizer docstring defines it."""
+    return np.where(np.abs(raw) <= delta, raw ** 2, 2.0 * delta * np.abs(raw) - delta ** 2)
+
+
 def test_robust_scale_square_is_identity():
+    # the Huber loss is the squared loss for residuals no wider than delta
     raw = np.array([-2.0, 0.0, 3.0])
-    scaled, factor = robust_scale(raw)
-    assert np.array_equal(scaled, raw)
-    assert np.array_equal(factor, np.ones(3))
+    root, outside = huber = _huber_root(raw, 3.0)
+    assert np.array_equal(root ** 2, raw ** 2) and not outside.any()
+    assert np.array_equal(_huber_factor(*huber, 3.0), np.ones(3))
 
 
 def test_robust_scale_huber_inside_is_identity():
-    scaled, factor = robust_scale(np.array([3.0, -2.0]), delta=5.0)
-    assert np.allclose(scaled, [3.0, -2.0])
-    assert np.allclose(factor, [1.0, 1.0])
+    raw = np.array([3.0, -2.0, 5.0])
+    root, outside = huber = _huber_root(raw, 5.0)
+    assert np.array_equal(root, [3.0, 2.0, 5.0]) and not outside.any()
+    assert np.array_equal(_huber_factor(*huber, 5.0), [1.0, 1.0, 1.0])
 
 
 def test_robust_scale_huber_outside_reference():
-    # loss(50) with delta 5 is 2*5*50 - 25 = 475; scaled residual sqrt(475)
-    scaled, factor = robust_scale(np.array([50.0, -50.0]), delta=5.0)
-    assert scaled[0] == pytest.approx(math.sqrt(475.0))
-    assert scaled[1] == pytest.approx(-math.sqrt(475.0))
-    assert np.all(scaled ** 2 == pytest.approx(475.0))
-    assert factor[0] == pytest.approx(5.0 / math.sqrt(475.0))
+    # loss(50) with delta 5 is 2*5*50 - 25 = 475; root sqrt(475)
+    raw = np.array([50.0, -50.0])
+    root, outside = huber = _huber_root(raw, 5.0)
+    assert root == pytest.approx([math.sqrt(475.0)] * 2) and outside.all()
+    assert root ** 2 == pytest.approx(huber_loss(raw, 5.0))
+    # d root / d|r| = loss'(r) / (2 root) = delta / root
+    assert _huber_factor(*huber, 5.0) == pytest.approx([5.0 / math.sqrt(475.0)] * 2)
 
 
 def test_robust_scale_squares_to_loss_everywhere():
     raw = np.linspace(-20.0, 20.0, 81)
-    delta = 5.0
-    scaled, _ = robust_scale(raw, delta)
-    expected = np.where(np.abs(raw) <= delta,
-                        raw ** 2, 2.0 * delta * np.abs(raw) - delta ** 2)
-    assert np.allclose(scaled ** 2, expected)
-
-
-def test_robust_scale_validation():
-    with pytest.raises(ValueError):
-        robust_scale(np.array([1.0]), delta=0.0)
+    root, _ = _huber_root(raw, 5.0)
+    assert np.allclose(root ** 2, huber_loss(raw, 5.0))
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError, match="huber_delta"):
-        scalar_problem(huber_delta=0.0)
+    for delta in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^huber_delta must be positive$"):
+            scalar_problem(huber_delta=delta)
     for weights in ([-1.0], [1.0, -1e-300], [np.nan], [2.0, np.inf], [-np.inf], np.nan):
         with pytest.raises(ValueError, match="^weights must be finite and non-negative$"):
             scalar_problem(weights=weights)
@@ -282,8 +283,15 @@ def dense_lm_iteration(obs, x0, rows, fields):
     delta = fields.get("huber_delta")
 
     def evaluate(x):
-        scaled, factor = robust_scale(residual_and_jacobian(x, obs)[0][rows], delta)
-        return np.sqrt(w) * scaled, factor
+        """Scaled residuals and Jacobian row factors, from the definition of
+        the Huber loss rather than from the solver's helpers."""
+        raw = residual_and_jacobian(x, obs)[0][rows]
+        if delta is None:
+            return np.sqrt(w) * raw, np.ones_like(raw)
+        loss = huber_loss(raw, delta)
+        # d sqrt(loss) / d|r| is 1 inside the quadratic zone, delta / sqrt(loss) outside
+        factor = np.where(np.abs(raw) <= delta, 1.0, delta / np.sqrt(np.maximum(loss, delta ** 2)))
+        return np.sqrt(w) * np.sign(raw) * np.sqrt(loss), factor
 
     rt, factor = evaluate(x0)
     Jt = (np.sqrt(w) * factor)[:, None] * residual_and_jacobian(x0, obs)[1][rows]

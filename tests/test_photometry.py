@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from foglab.errors import MapFormatError
 from foglab.photometry import (CalibrationSeries, ChannelGammaMaps, GammaMap,
                                compress, expand, fit_gamma_map,
                                load_gamma_file, save_gamma_file)
@@ -51,6 +52,19 @@ def test_compress_clamp_behavior():
     assert np.isnan(compress(gmap, np.nan, clamp=True))
     assert compress(gmap, 5.0, clamp=True) == 0.0
     assert compress(gmap, 600.0, clamp=True) == 255.0
+
+
+@pytest.mark.parametrize("zeta", [-2.0, 0.0, 2.0])
+def test_radiance_range_is_what_expand_reaches(zeta):
+    # alpha puts expand(255) near 255; Python's ``**`` and numpy's power
+    # disagree in the last bit on part of this grid. When the range's top was
+    # Python's ``**``, gamma = 2.4439929553806308 and zeta = 0 gave a top one
+    # ulp below expand(255), and compress refused "radiance outside [0.0, 255.0]".
+    for gamma in np.linspace(0.2, 5.0, 4001).tolist() + [2.4439929553806308]:
+        gmap = GammaMap(255.0 ** (1.0 - gamma), gamma, zeta)
+        ends = expand(gmap, [0.0, 255.0])
+        assert gmap.radiance_range == tuple(ends.tolist())
+        compress(gmap, ends)
 
 
 def test_expand_strictly_increasing():
@@ -163,6 +177,14 @@ def test_gamma_file_missing_color_defaults_to_gray(tmp_path):
     assert loaded.r == loaded.gray
     assert loaded.gray.alpha == pytest.approx(2.0)
     assert loaded.gray.gamma == pytest.approx(1.5)
+
+
+def test_gamma_file_refuses_digit_groups(tmp_path):
+    # Python's float would read 1_0 as 10
+    path = tmp_path / "grouped.gamma"
+    path.write_text("# channel alpha gamma zeta\ngray 1_0 2.2 0\n")
+    with pytest.raises(MapFormatError, match="^line 2: '_' in '1_0'$"):
+        load_gamma_file(path)
 
 
 def test_gamma_file_requires_gray(tmp_path):

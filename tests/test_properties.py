@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from foglab.estimator import residual_and_jacobian
 from foglab.localmap import LocalMapGraph, Observation, ObservationSet, load_map, save_map
 from foglab.metrics import compute_metrics
-from foglab.optimizer import ResidualProblem, robust_scale, solve
+from foglab.optimizer import ResidualProblem, _huber_factor, _huber_root, solve
 from foglab.photometry import GammaMap, compress, expand
 from foglab.scattering import (beta_from_visibility, synthesize_fog_pixel,
                                transmission, visibility_from_beta,
@@ -76,7 +76,7 @@ def test_fog_pixel_stays_between_scene_and_atmosphere(j, a, beta, d):
 
 @CASES
 @given(gmap=gamma_map_st,
-       i=st.one_of(st.just(0.0), st.floats(0.1, 255.0, **finite)))
+       i=st.one_of(st.just(0.0), st.just(255.0), st.floats(0.1, 255.0, **finite)))
 def test_expand_compress_round_trip(gmap, i):
     # below ~0.1 the alpha*i**gamma term can vanish next to zeta in float,
     # so the map is only numerically invertible on real sensor levels
@@ -99,12 +99,18 @@ _signed_raw = st.one_of(st.just(0.0), st.floats(1e-12, 1e6, **finite),
 @given(raw=st.lists(_signed_raw, min_size=1, max_size=8),
        delta=st.floats(1e-6, 100.0, **finite))
 def test_robust_scale_squares_to_huber_loss(raw, delta):
+    # the loss as the optimizer docstring defines it
     raw = np.array(raw)
-    scaled, factor = robust_scale(raw, delta)
-    loss = np.where(np.abs(raw) <= delta,
-                    raw ** 2, 2.0 * delta * np.abs(raw) - delta ** 2)
-    assert np.allclose(scaled ** 2, loss, rtol=1e-12, atol=1e-12)
-    assert np.all(np.sign(scaled) == np.sign(raw))
+    inside = np.abs(raw) <= delta
+    loss = np.where(inside, raw ** 2, 2.0 * delta * np.abs(raw) - delta ** 2)
+    root, outside = huber = _huber_root(raw, delta)
+    factor = _huber_factor(*huber, delta)
+    assert np.array_equal(outside, ~inside)
+    assert np.allclose(root ** 2, loss, rtol=1e-12, atol=1e-12)
+    assert np.all(root >= 0.0) and np.array_equal(root == 0.0, raw == 0.0)
+    # the row factor is d root / d|r|: 1 inside, delta / root outside
+    assert np.all(factor[inside] == 1.0)
+    assert np.allclose(factor[outside], delta / np.sqrt(loss[outside]), rtol=1e-12)
     assert np.all((factor > 0.0) & (factor <= 1.0))
 
 
