@@ -27,6 +27,17 @@ from .scattering import (IntensityFogParams, beta_from_visibility, luma,
                          quantize_to_u8, synthesize_fog_image, visibility_from_beta)
 
 
+def number(token: str) -> float:
+    """argparse type of a numeric option: a float in :func:`parse_number`'s
+    grammar, so that ``--beta 0_025`` is a usage error, not 25."""
+    return parse_number(token)
+
+
+def integer(token: str) -> int:
+    """argparse type of an integer option, in :func:`parse_number`'s grammar."""
+    return parse_number(token, int)
+
+
 def _load_gamma(spec: str) -> ChannelGammaMaps:
     if spec == "identity":
         return ChannelGammaMaps.from_dict({"gray": GammaMap.identity()})
@@ -43,14 +54,14 @@ def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
     default = EstimatorConfig()
     p.add_argument("--gamma", default="identity", help="gamma map file or 'identity'")
     p.add_argument("--channel", default="gray", choices=CHANNEL_NAMES)
-    p.add_argument("--xi-f", type=int, default=default.xi_f, help="min frames per landmark")
-    p.add_argument("--xi-k", type=int, default=default.xi_k,
+    p.add_argument("--xi-f", type=integer, default=default.xi_f, help="min frames per landmark")
+    p.add_argument("--xi-k", type=integer, default=default.xi_k,
                    help="min qualifying landmarks")
-    p.add_argument("--eta", type=float, default=default.eta)
-    p.add_argument("--delta", type=float, default=default.delta)
-    p.add_argument("--beta-min", type=float, default=default.beta_bounds[0])
-    p.add_argument("--beta-max", type=float, default=default.beta_bounds[1])
-    p.add_argument("--update-gate", type=float, default=5.0, help="meters between updates")
+    p.add_argument("--eta", type=number, default=default.eta)
+    p.add_argument("--delta", type=number, default=default.delta)
+    p.add_argument("--beta-min", type=number, default=default.beta_bounds[0])
+    p.add_argument("--beta-max", type=number, default=default.beta_bounds[1])
+    p.add_argument("--update-gate", type=number, default=5.0, help="meters between updates")
     p.add_argument("--one-stage", action="store_true")
     p.add_argument("--uniform-weights", action="store_true")
 
@@ -304,18 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--truth-out")
     p.add_argument("--config", help="scene spec as JSON")
-    p.add_argument("--landmarks", type=int, default=scene.n_landmarks)
-    p.add_argument("--frames", type=int, default=scene.n_frames)
-    p.add_argument("--start-min", type=float, default=scene.start_distance_range[0])
-    p.add_argument("--start-max", type=float, default=scene.start_distance_range[1])
-    p.add_argument("--spacing", type=float, default=scene.frame_spacing)
+    p.add_argument("--landmarks", type=integer, default=scene.n_landmarks)
+    p.add_argument("--frames", type=integer, default=scene.n_frames)
+    p.add_argument("--start-min", type=number, default=scene.start_distance_range[0])
+    p.add_argument("--start-max", type=number, default=scene.start_distance_range[1])
+    p.add_argument("--spacing", type=number, default=scene.frame_spacing)
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--beta", type=float)
-    g.add_argument("--visibility", type=float, default=50.0)
-    p.add_argument("--a", type=float, default=204.0)
-    p.add_argument("--noise-std", type=float, default=noise.std)
+    g.add_argument("--beta", type=number)
+    g.add_argument("--visibility", type=number, default=50.0)
+    p.add_argument("--a", type=number, default=204.0)
+    p.add_argument("--noise-std", type=number, default=noise.std)
     p.add_argument("--no-quantize", action="store_true")
-    p.add_argument("--seed", type=int, default=noise.seed)
+    p.add_argument("--seed", type=integer, default=noise.seed)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="run the joint estimator on local maps")
@@ -328,12 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
                                         "pairwise beta histogram")
     p.add_argument("--map")
     p.add_argument("--image")
-    p.add_argument("--a", type=float)
+    p.add_argument("--a", type=number)
     p.add_argument("--a-rule", choices=("original", "modified"), default="modified")
     hist = baselines.HistogramConfig()
-    p.add_argument("--radius", type=int, default=baselines.DARK_CHANNEL_RADIUS)
-    p.add_argument("--tau", type=float, default=hist.min_inverse_depth_gap)
-    p.add_argument("--bin-width", type=float, default=hist.bin_width)
+    p.add_argument("--radius", type=integer, default=baselines.DARK_CHANNEL_RADIUS)
+    p.add_argument("--tau", type=number, default=hist.min_inverse_depth_gap)
+    p.add_argument("--bin-width", type=number, default=hist.bin_width)
     p.add_argument("--bounded", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--hist-out")
     p.set_defaults(func=_cmd_baseline)
@@ -348,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clear", required=True)
     p.add_argument("--distances", required=True)
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--beta", type=float)
-    g.add_argument("--visibility", type=float, default=50.0)
-    p.add_argument("--a", type=float, default=204.0)
+    g.add_argument("--beta", type=number)
+    g.add_argument("--visibility", type=number, default=50.0)
+    p.add_argument("--a", type=number, default=204.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synthesize_fog)
 
@@ -358,25 +369,25 @@ def build_parser() -> argparse.ArgumentParser:
     esub = p.add_subparsers(dest="experiment", required=True)
 
     e = esub.add_parser("gamma-bias", help="beta bias from ignoring the gamma map")
-    e.add_argument("--trials", type=int, default=1000)
-    e.add_argument("--beta", type=float, default=0.025)
-    e.add_argument("--gamma-exponent", type=float, default=2.2)
-    e.add_argument("--alpha", type=float, help="default normalizes expand(255)=255")
-    e.add_argument("--zeta", type=float, default=0.0)
-    e.add_argument("--noise-std", type=float, default=1.0)
+    e.add_argument("--trials", type=integer, default=1000)
+    e.add_argument("--beta", type=number, default=0.025)
+    e.add_argument("--gamma-exponent", type=number, default=2.2)
+    e.add_argument("--alpha", type=number, help="default normalizes expand(255)=255")
+    e.add_argument("--zeta", type=number, default=0.0)
+    e.add_argument("--noise-std", type=number, default=1.0)
     e.add_argument("--noise-domain", choices=("radiance", "intensity"),
                    default="radiance")
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=integer, default=0)
     e.add_argument("--out")
     e.set_defaults(func=_cmd_gamma_bias)
 
     recovery = harness.RecoveryConfig()
     e = esub.add_parser("recovery", help="method comparison across visibility levels")
-    e.add_argument("--seed", type=int, default=recovery.seed)
-    e.add_argument("--repeats", type=int, default=recovery.repeats)
-    e.add_argument("--noise-std", type=float, default=recovery.noise.std)
-    e.add_argument("--outlier-fraction", type=float, default=recovery.noise.outlier_fraction)
-    e.add_argument("--outlier-std", type=float, default=recovery.noise.outlier_std)
+    e.add_argument("--seed", type=integer, default=recovery.seed)
+    e.add_argument("--repeats", type=integer, default=recovery.repeats)
+    e.add_argument("--noise-std", type=number, default=recovery.noise.std)
+    e.add_argument("--outlier-fraction", type=number, default=recovery.noise.outlier_fraction)
+    e.add_argument("--outlier-std", type=number, default=recovery.noise.outlier_std)
     e.add_argument("--out-dir")
     e.set_defaults(func=_cmd_recovery)
 
@@ -384,10 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
                                           "beta histogram under a perturbed "
                                           "atmospheric value")
     demo = harness.HistogramDemoConfig()
-    e.add_argument("--visibility", type=float, default=demo.visibility)
-    e.add_argument("--a-perturbation", type=float, default=demo.a_perturbation)
-    e.add_argument("--noise-std", type=float, default=demo.noise_std)
-    e.add_argument("--seed", type=int, default=demo.seed)
+    e.add_argument("--visibility", type=number, default=demo.visibility)
+    e.add_argument("--a-perturbation", type=number, default=demo.a_perturbation)
+    e.add_argument("--noise-std", type=number, default=demo.noise_std)
+    e.add_argument("--seed", type=integer, default=demo.seed)
     e.add_argument("--out-unbounded")
     e.add_argument("--out-bounded")
     e.set_defaults(func=_cmd_histogram_demo)
@@ -396,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True)
     p.add_argument("--column", default="estimate")
     p.add_argument("--truth-column", default="truth")
-    p.add_argument("--truth", type=float)
+    p.add_argument("--truth", type=number)
     p.set_defaults(func=_cmd_metrics)
 
     return parser

@@ -246,8 +246,7 @@ def _fog_problem(n_params: int, d: np.ndarray, L: np.ndarray, slot: np.ndarray,
         np.subtract(t, 1.0, out=J[:, 1])
         np.negative(t, out=J[:, 2])
         return J
-    return ResidualProblem(n_params, residual, jacobian, slot=slot, n_global=2,
-                           **fields)
+    return ResidualProblem(n_params, residual, jacobian, slot=slot, **fields)
 
 
 def residual_and_jacobian(params: np.ndarray, obs: ObservationSet):

@@ -1,4 +1,5 @@
-"""Bounded robust nonlinear least squares by projected Levenberg-Marquardt.
+"""Bounded robust nonlinear least squares by projected Levenberg-Marquardt,
+for problems of the fog fit's shape.
 
 Minimizes sum_k w_k * loss(r_k(x)) subject to box bounds on x. The loss is
 squared, or Huber of width ``huber_delta`` when that is not None. The Huber
@@ -12,23 +13,24 @@ keeps the iteration invariant under per-parameter rescaling and the damped
 matrix positive definite. Same problem, start and iteration cap give a
 bitwise-identical report.
 
-A problem is dense, or has the ``slot`` form. In the slot form the first
-``n_global`` parameters are global and the rest are local: residual row i
-depends on the global parameters and on local parameter ``slot[i]`` only,
-and the Jacobian callback returns the ``(N, n_global + 1)`` columns
-[d r / d global..., d r / d local of the row]. J^T J is then an arrowhead:
-a dense global block H_g, a diagonal local block H_l and a coupling block
-B. Each iteration reduces the rows to those blocks once (the per-local sums
-in one ``np.bincount``); each damping trial then eliminates the local block
-(the Schur complement of bundle adjustment),
+``solve`` takes one problem form, the slot form. The first two parameters
+are global, the fog fit's (beta, L_inf), and the rest are local, one clear
+radiance per landmark: residual row i depends on the globals and on local
+parameter ``slot[i]`` only, and the Jacobian callback returns the ``(N, 3)``
+columns [d r / d beta, d r / d L_inf, d r / d local of the row]. J^T J is
+then an arrowhead: a 2x2 global block H_g, a diagonal local block H_l and a
+coupling block B. Each iteration reduces the rows to those blocks once (the
+per-local sums in one ``np.bincount``); each damping trial then eliminates
+the local block (the Schur complement of bundle adjustment),
 
     D   = H_l + lam * d_l
     S   = H_g + lam * diag(d_g) - B D^-1 B^T
     S s_g = B D^-1 g_l - g_g,        s_l = -(g_l + B^T s_g) / D,
 
-which is the damped dense step, so a trial solves an n_global-sized
-symmetric positive definite system and all else is O(N). A dense problem is
-the case with no local parameters (B empty, S the whole damped matrix).
+which is the damped dense step, so a trial solves a 2x2 symmetric positive
+definite system in closed form and all else is O(N). A problem without a
+slot is dense: only ``check_jacobian`` and ``dense_jacobian`` read it, and
+``solve`` refuses it.
 
 Per solve, ``residual`` is called once for the residual count, once at the
 start point and once per trial point; ``jacobian`` once at the start point
@@ -76,6 +78,7 @@ _DAMPING_CEILING = 1e15
 _GRADIENT_TOL = 1e-10
 _STEP_TOL = 1e-12
 _COST_TOL = 1e-10
+_N_GLOBAL = 2               # the global parameters (beta, L_inf) of the slot form
 
 
 @dataclass
@@ -86,11 +89,11 @@ class ResidualProblem:
     ``weights`` are per-residual and fixed for the whole solve;
     ``lower``/``upper`` default to an unbounded box.
 
-    ``slot`` is None for a dense problem, whose ``jacobian`` returns
-    ``(N, n_params)``. Otherwise it gives, per residual row, the index of the
-    one local parameter ``x[n_global + slot[i]]`` the row depends on, and
-    ``jacobian`` returns the ``(N, n_global + 1)`` columns described in the
-    module docstring.
+    ``slot`` gives, per residual row, the index of the one local parameter
+    ``x[2 + slot[i]]`` the row depends on, and ``jacobian`` returns the
+    ``(N, 3)`` columns described in the module docstring. With ``slot`` None
+    the problem is dense: ``jacobian`` returns ``(N, n_params)``, and only
+    :func:`check_jacobian` takes it.
     """
 
     n_params: int
@@ -101,25 +104,19 @@ class ResidualProblem:
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
     slot: Optional[np.ndarray] = None
-    n_global: Optional[int] = None
 
     def __post_init__(self):
         if self.huber_delta is not None and not self.huber_delta > 0:
             raise ValueError("huber_delta must be positive")
-        if self.slot is None:
-            if self.n_global not in (None, self.n_params):
-                raise ValueError("n_global needs slot")
-            self.n_global = self.n_params
-        else:
+        if self.slot is not None:
             self.slot = np.asarray(self.slot)
-            if self.n_global is None or not 0 <= self.n_global < self.n_params:
-                raise ValueError("slot needs 0 <= n_global < n_params")
+            n_local = self.n_params - _N_GLOBAL
+            if n_local < 1:
+                raise ValueError("slot needs n_params > 2")
             if (self.slot.ndim != 1 or self.slot.dtype.kind not in "iu"
-                    or self.slot.size and not (
-                        np.minimum.reduce(self.slot) >= 0
-                        and np.maximum.reduce(self.slot) < self.n_params - self.n_global)):
-                raise ValueError("slot entries must be integers in "
-                                 "[0, n_params - n_global)")
+                    or self.slot.size and not (np.minimum.reduce(self.slot) >= 0
+                                               and np.maximum.reduce(self.slot) < n_local)):
+                raise ValueError("slot entries must be integers in [0, n_params - 2)")
         if self.weights is not None:
             w = self.weights = np.asarray(self.weights, dtype=float)
             # NaN fails the first test, inf the second
@@ -146,8 +143,8 @@ class ResidualProblem:
         if self.slot is None:
             return J
         dense = np.zeros((self.slot.size, self.n_params))
-        dense[:, :self.n_global] = J[:, :self.n_global]
-        dense[np.arange(self.slot.size), self.n_global + self.slot] = J[:, self.n_global]
+        dense[:, :_N_GLOBAL] = J[:, :_N_GLOBAL]
+        dense[np.arange(self.slot.size), _N_GLOBAL + self.slot] = J[:, _N_GLOBAL]
         return dense
 
 
@@ -175,85 +172,55 @@ def _huber_factor(root: np.ndarray, outside: np.ndarray, delta: float) -> np.nda
     return factor
 
 
-def _arrowhead(cols: np.ndarray, n_global: int, flat: Optional[np.ndarray],
-               n_local: int):
+def _arrowhead(cols: np.ndarray, flat: np.ndarray, n_local: int):
     """A function that returns the arrowhead of the scaled system from its
     columns ``cols`` = ``[J_g, r, J_l]`` as they are at the call, as three
-    arrays: [H_g | g_g] (n_global, n_global + 1); per local parameter its
-    coupling row and gradient [B^T | g_l] (n_local, n_global + 1); and the
-    local diagonal H_l. Column views and scratch space are made once here."""
-    jg_t, jg_r = cols[:, :n_global].T, cols[:, :n_global + 1]
-    if flat is None:
-        no_local = np.zeros((0, n_global + 1)), np.zeros(0)
-        return lambda: (jg_t @ jg_r, *no_local)
+    arrays: [H_g | g_g] (2, 3); per local parameter its coupling row and
+    gradient [B^T | g_l] (n_local, 3); and the local diagonal H_l. Column
+    views and scratch space are made once here."""
+    jg_t, jg_r = cols[:, :_N_GLOBAL].T, cols[:, :_N_GLOBAL + 1]
     # per row: its local derivative times [global derivatives, residual,
     # local derivative], summed per local parameter. Column by column, as
     # numpy loops slowly over rows of a few columns.
     prod = np.empty_like(cols)
-    j_l, products = cols[:, -1], [(cols[:, k], prod[:, k]) for k in range(n_global + 2)]
+    j_l, products = cols[:, -1], [(cols[:, k], prod[:, k]) for k in range(_N_GLOBAL + 2)]
     prod = prod.ravel()
 
     def blocks():
         global_block = jg_t @ jg_r
         for col, out in products:
             np.multiply(j_l, col, out=out)
-        sums = np.bincount(flat, prod, n_local * (n_global + 2))
-        sums = sums.reshape(n_local, n_global + 2)
+        sums = np.bincount(flat, prod, n_local * (_N_GLOBAL + 2))
+        sums = sums.reshape(n_local, _N_GLOBAL + 2)
         return global_block, sums[:, :-1], sums[:, -1]
     return blocks
 
 
 def _cholesky_solve(m: list) -> Optional[list]:
-    """Solve S x = b in Python floats, given the rows of [S | b] with S small
-    and symmetric positive definite; S's lower triangle is read and may be
-    overwritten. None when a pivot is not positive."""
-    n = len(m)
-    if n == 2:
-        # the loop below for n = 2, unrolled: the same operations in the same
-        # order, so the same result
-        (s00, _, b0), (s10, s11, b1) = m
-        if not s00 > 0:
-            return None
-        l00 = math.sqrt(s00)
-        l10 = s10 / l00
-        s = s11 - l10 * l10
-        if not s > 0:
-            return None
-        l11 = math.sqrt(s)
-        y0 = b0 / l00
-        x1 = (b1 - l10 * y0) / l11 / l11
-        return [(y0 - l10 * x1) / l00, x1]
-    for i in range(n):
-        ri = m[i]
-        for j in range(i + 1):
-            rj = m[j]
-            s = ri[j]
-            for k in range(j):
-                s -= ri[k] * rj[k]
-            if j < i:
-                ri[j] = s / rj[j]
-            elif s > 0:
-                ri[i] = math.sqrt(s)
-            else:
-                return None
-    x = [row[n] for row in m]
-    for i in range(n):
-        s = x[i]
-        for k in range(i):
-            s -= m[i][k] * x[k]
-        x[i] = s / m[i][i]
-    for i in reversed(range(n)):
-        s = x[i]
-        for k in range(i + 1, n):
-            s -= m[k][i] * x[k]
-        x[i] = s / m[i][i]
-    return x
+    """Solve S x = b in Python floats by Cholesky, given the rows of [S | b]
+    with S 2x2 and symmetric positive definite; S's lower triangle is read.
+    None when a pivot is not positive."""
+    (s00, _, b0), (s10, s11, b1) = m
+    if not s00 > 0:
+        return None
+    l00 = math.sqrt(s00)
+    l10 = s10 / l00
+    s = s11 - l10 * l10
+    if not s > 0:
+        return None
+    l11 = math.sqrt(s)
+    y0 = b0 / l00
+    x1 = (b1 - l10 * y0) / l11 / l11
+    return [(y0 - l10 * x1) / l00, x1]
 
 
 def solve(problem: ResidualProblem, x0: np.ndarray,
           max_iterations: int = 100) -> SolveReport:
-    """Run projected LM from ``x0``. Accepted iterates never increase cost.
-    The callbacks are called as the module docstring says."""
+    """Run projected LM from ``x0`` on a slot-form problem. Accepted iterates
+    never increase cost. The callbacks are called as the module docstring
+    says."""
+    if problem.slot is None:
+        raise ValueError("solve needs a problem in the slot form")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.n_params,):
         raise ValueError("x0 must have one entry per parameter")
@@ -268,21 +235,16 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
         if problem.weights.shape != (n_res,):
             raise ValueError("weights must have one entry per residual")
         sqrt_w = np.sqrt(problem.weights)
-    n_global = problem.n_global
-    n_local = problem.n_params - n_global
-    if problem.slot is None:
-        flat = None
-    else:
-        if problem.slot.shape != (n_res,):
-            raise ValueError("slot must have one entry per residual")
-        # row i's sums land in bins slot[i] * (n_global + 2) + column
-        flat = (problem.slot[:, None] * (n_global + 2)
-                + np.arange(n_global + 2)).ravel()
+    if problem.slot.shape != (n_res,):
+        raise ValueError("slot must have one entry per residual")
+    n_local = problem.n_params - _N_GLOBAL
+    # row i's sums land in bins slot[i] * 4 + column
+    flat = (problem.slot[:, None] * (_N_GLOBAL + 2) + np.arange(_N_GLOBAL + 2)).ravel()
     # the scaled system's columns [J_g, r, J_l], rewritten per accepted step
-    cols = np.empty((n_res, n_global + 1 + (flat is not None)))
-    blocks = _arrowhead(cols, n_global, flat, n_local)
-    r_col = cols[:, n_global]
-    j_cols = [cols[:, k + (k >= n_global)] for k in range(cols.shape[1] - 1)]
+    cols = np.empty((n_res, _N_GLOBAL + 2))
+    blocks = _arrowhead(cols, flat, n_local)
+    r_col = cols[:, _N_GLOBAL]
+    j_cols = [cols[:, k] for k in (0, 1, 3)]
     # per-trial workspace: the damped local diagonal, the local step and,
     # from trial_buffer, the trial point. An accepted trial point keeps its
     # buffer, which may hold the residuals too; the next trials get a new one.
@@ -290,7 +252,7 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
 
     def trial_buffer():
         x_new = np.empty_like(x)
-        return x_new, x_new[:n_global], x_new[n_global:]
+        return x_new, x_new[:_N_GLOBAL], x_new[_N_GLOBAL:]
 
     def evaluate(x):
         """Raw residuals at ``x``; the scaled residuals up to sign, whose
@@ -323,9 +285,8 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
 
     raw, rt, huber = evaluate(x)
     J = np.asarray(problem.jacobian(x), dtype=float)
-    if J.shape != (n_res, n_global + (flat is not None)):
-        raise ValueError("jacobian shape must be (n_residuals, n_params), or "
-                         "(n_residuals, n_global + 1) with slot")
+    if J.shape != (n_res, _N_GLOBAL + 1):
+        raise ValueError("jacobian shape must be (n_residuals, 3)")
     if not (_all_finite(rt) and _all_finite(J)):
         raise NumericError("non-finite residual or Jacobian at the start point")
     fill_columns(J, raw, rt, huber)
@@ -339,22 +300,22 @@ def solve(problem: ResidualProblem, x0: np.ndarray,
         iterations += 1
         global_block, local_rows, H_local = blocks()
         if (_max_abs(global_block[:, -1]) < _GRADIENT_TOL
-                and (not n_local or _max_abs(local_rows[:, -1]) < _GRADIENT_TOL)):
+                and _max_abs(local_rows[:, -1]) < _GRADIENT_TOL):
             reason = "gradient"
             break
         diag = np.concatenate((global_block.diagonal(), H_local))
         diag[diag <= 0] = 1.0  # zero-information parameters stay put
-        d_global, d_local = diag[:n_global].tolist(), diag[n_global:]
+        (d0, d1), d_local = diag[:_N_GLOBAL].tolist(), diag[_N_GLOBAL:]
         B = local_rows[:, :-1].T
-        x_g, x_l = x[:n_global], x[n_global:]
+        x_g, x_l = x[:_N_GLOBAL], x[_N_GLOBAL:]
 
         accepted = False
         while lam <= _DAMPING_CEILING:
             np.add(H_local, np.multiply(lam, d_local, out=D), out=D)
             # [S | g_g - B D^-1 g_l] with S = H_g + lam diag(d_g) - B D^-1 B^T
             m = (global_block - (B / D) @ local_rows).tolist()
-            for i in range(n_global):
-                m[i][i] += lam * d_global[i]
+            m[0][0] += lam * d0
+            m[1][1] += lam * d1
             neg_global = _cholesky_solve(m)               # -s_g
             if neg_global is None:
                 lam *= 10.0

@@ -19,6 +19,7 @@ accepts every radiance ``expand`` gives.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,10 +56,10 @@ class GammaMap:
     def identity(cls) -> "GammaMap":
         return cls(1.0, 1.0, 0.0)
 
-    @property
+    @functools.cached_property
     def radiance_range(self) -> tuple[float, float]:
         """Radiances reachable from intensities in [0, 255]: ``expand`` at 0
-        and 255."""
+        and 255, computed once per map (``compress`` reads it on each call)."""
         return tuple(expand(self, [0.0, 255.0]).tolist())
 
 

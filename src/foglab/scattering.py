@@ -149,16 +149,3 @@ def quantize_to_u8(image: np.ndarray) -> np.ndarray:
         raise ValueError("image must be finite")
     return np.clip(np.rint(image), 0, 255).astype(np.uint8)
 
-
-def distance_from_depth(depth: np.ndarray, fx: float, fy: float,
-                        cx: float, cy: float) -> np.ndarray:
-    """Euclidean distance map from a z-depth map and pinhole intrinsics."""
-    depth = np.asarray(depth, dtype=float)
-    if depth.ndim != 2:
-        raise ValueError("depth map must be 2-D")
-    if not np.all(np.isfinite(depth)) or np.any(depth < 0):
-        raise ValueError("depths must be finite and non-negative")
-    if fx <= 0 or fy <= 0:
-        raise ValueError("focal lengths must be positive")
-    v, u = np.indices(depth.shape, dtype=float)
-    return depth * np.sqrt(1.0 + ((u - cx) / fx) ** 2 + ((v - cy) / fy) ** 2)

@@ -1,11 +1,12 @@
 """End-to-end command line behavior (exit codes, files, printed records)."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from foglab.cli import _load_gamma, cli_main
+from foglab.cli import _load_gamma, build_parser, cli_main, integer, number
 from foglab.errors import MapFormatError
 from foglab.estimator import (EstimatorState, estimate, format_estimate_record,
                               parse_estimate_record)
@@ -415,3 +416,33 @@ def test_usage_errors_exit_2(capsys):
 def test_help_exits_0(capsys):
     assert run("--help") == 0
     assert "simulate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["experiment", "gamma-bias", "--trials", "3", "--beta", "0_025", "--seed", "1_0"],
+     "argument --beta: invalid number value: '0_025'"),
+    (["experiment", "gamma-bias", "--trials", "3", "--seed", "1_0"],
+     "argument --seed: invalid integer value: '1_0'"),
+    (["experiment", "recovery", "--repeats", "\u0661"],
+     "argument --repeats: invalid integer value: '\u0661'"),
+    (["simulate", "--out", "unused.map", "--visibility", "5_0"],
+     "argument --visibility: invalid number value: '5_0'"),
+], ids=["beta-digit-groups", "seed-digit-groups", "arabic-indic-digit", "simulate"])
+def test_numeric_options_refuse_what_text_formats_refuse(argv, named, capsys):
+    # Python's float/int take "_" digit groups and non-ASCII digits: with
+    # them "--beta 0_025" ran at beta 25
+    assert run(*argv) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_every_numeric_option_parses_with_parse_number():
+    def actions(parser):
+        for action in parser._actions:
+            yield action
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from actions(sub)
+
+    types = {action.type for action in actions(build_parser())}
+    assert types == {None, number, integer}
+    assert number("1e-3") == 0.001 and integer("-7") == -7

@@ -92,6 +92,26 @@ def test_bounds_respect_gamma_range():
     assert (b.lower[2], b.upper[2]) == (1.0, pytest.approx(651.25))
 
 
+def test_bounds_expand_the_gamma_range_once_per_map(monkeypatch):
+    # compress checks its input against the map's range, which derive_bounds
+    # reads too: one expand of [0, 255] per map serves both
+    import foglab.photometry
+    calls = []
+    real_expand = foglab.photometry.expand
+    monkeypatch.setattr(foglab.photometry, "expand",
+                        lambda *args: calls.append(args) or real_expand(*args))
+    obs = obs_set({0: [(10.0, 40.0), (50.0, 180.0)], 1: [(10.0, 200.0), (50.0, 60.0)]})
+    gmap = GammaMap(alpha=0.01, gamma=2.0, zeta=1.0)
+    b = derive_bounds(obs, gmap, eta=2.0)
+    assert len(calls) == 1
+    again = derive_bounds(obs, gmap, eta=2.0)
+    assert len(calls) == 1
+    assert b.lower.tobytes() == again.lower.tobytes()
+    assert b.upper.tobytes() == again.upper.tobytes()
+    # the cached range is no field: equality and hashing ignore it
+    assert gmap == GammaMap(0.01, 2.0, 1.0) and hash(gmap) == hash(GammaMap(0.01, 2.0, 1.0))
+
+
 def test_bounds_vector_packing():
     obs = obs_set({3: [(10.0, 40.0), (50.0, 180.0)],
                    1: [(10.0, 100.0), (50.0, 110.0)]})

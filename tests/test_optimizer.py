@@ -15,35 +15,54 @@ from foglab.optimizer import (_COST_TOL, _DAMPING_CEILING, _DAMPING_FLOOR, _GRAD
                               solve)
 
 
+def padded_problem(n, n_rows, residual, jacobian, lower=None, upper=None, **fields):
+    """A problem in n <= 2 parameters, posed in the solver's slot form: they
+    are its first globals, and parameters with zero Jacobian columns pad
+    them to two globals and one local that every row uses. The padding
+    carries no information, so it stays where it starts (at 0, see pad)."""
+    def padded_box(b, fill):
+        return None if b is None else np.concatenate((b, np.full(3 - n, fill)))
+
+    def padded_jacobian(x):
+        return np.column_stack((jacobian(x[:n]), np.zeros((n_rows, 3 - n))))
+    return ResidualProblem(3, lambda x: residual(x[:n]), padded_jacobian,
+                           lower=padded_box(lower, -np.inf), upper=padded_box(upper, np.inf),
+                           slot=np.zeros(n_rows, dtype=int), **fields)
+
+
+def pad(x0):
+    """A start point of a padded problem."""
+    return np.concatenate((x0, np.zeros(3 - len(x0))))
+
+
 def scalar_problem(**kwargs):
     # residual r(x) = x - 3, minimized at x = 3
-    return ResidualProblem(
-        n_params=1,
-        residual=lambda x: np.array([x[0] - 3.0]),
-        jacobian=lambda x: np.array([[1.0]]),
-        **kwargs)
+    return padded_problem(1, 1, lambda x: np.array([x[0] - 3.0]),
+                          lambda x: np.array([[1.0]]), **kwargs)
+
+
+def rosenbrock_residual(x):
+    # classic curved valley, unique minimum at (1, 1) with zero residuals
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def rosenbrock_jacobian(x):
+    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
 
 def rosenbrock_problem():
-    # classic curved valley, unique minimum at (1, 1) with zero residuals
-    def residual(x):
-        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
-
-    def jacobian(x):
-        return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
-
-    return ResidualProblem(n_params=2, residual=residual, jacobian=jacobian)
+    return padded_problem(2, 2, rosenbrock_residual, rosenbrock_jacobian)
 
 
 def test_scalar_minimum():
-    report = solve(scalar_problem(), np.array([10.0]))
+    report = solve(scalar_problem(), pad([10.0]))
     assert report.params[0] == pytest.approx(3.0, abs=1e-8)
     assert report.cost == pytest.approx(0.0, abs=1e-15)
 
 
 def test_active_bound_is_respected():
     problem = scalar_problem(lower=np.array([0.0]), upper=np.array([2.0]))
-    report = solve(problem, np.array([1.0]))
+    report = solve(problem, pad([1.0]))
     assert report.params[0] == pytest.approx(2.0, abs=1e-12)
     # feasible throughout, including the solution
     assert 0.0 <= report.params[0] <= 2.0
@@ -51,26 +70,26 @@ def test_active_bound_is_respected():
 
 def test_init_outside_box_is_projected():
     problem = scalar_problem(lower=np.array([0.0]), upper=np.array([2.0]))
-    report = solve(problem, np.array([50.0]))
+    report = solve(problem, pad([50.0]))
     assert report.params[0] == pytest.approx(2.0, abs=1e-12)
     assert 0.0 <= report.params[0] <= 2.0
 
 
 def test_rosenbrock_from_standard_start():
-    report = solve(rosenbrock_problem(), np.array([-1.2, 1.0]),
+    report = solve(rosenbrock_problem(), pad([-1.2, 1.0]),
                    max_iterations=200)
-    assert np.allclose(report.params, [1.0, 1.0], atol=1e-6)
+    assert np.allclose(report.params, [1.0, 1.0, 0.0], atol=1e-6)
 
 
 def test_deterministic_bitwise():
-    a = solve(rosenbrock_problem(), np.array([-1.2, 1.0]))
-    b = solve(rosenbrock_problem(), np.array([-1.2, 1.0]))
+    a = solve(rosenbrock_problem(), pad([-1.2, 1.0]))
+    b = solve(rosenbrock_problem(), pad([-1.2, 1.0]))
     assert a.params.tobytes() == b.params.tobytes()
     assert a.cost == b.cost and a.iterations == b.iterations
 
 
 def test_cost_never_increases_with_more_iterations():
-    costs = [solve(rosenbrock_problem(), np.array([-1.2, 1.0]),
+    costs = [solve(rosenbrock_problem(), pad([-1.2, 1.0]),
                    max_iterations=k).cost
              for k in range(1, 25)]
     assert all(c2 <= c1 + 1e-15 for c1, c2 in zip(costs, costs[1:]))
@@ -78,12 +97,10 @@ def test_cost_never_increases_with_more_iterations():
 
 def test_weights_shift_the_optimum():
     # two incompatible targets: weighted mean 2*1 + 1*4 over total weight 3
-    problem = ResidualProblem(
-        n_params=1,
-        residual=lambda x: np.array([x[0] - 1.0, x[0] - 4.0]),
-        jacobian=lambda x: np.array([[1.0], [1.0]]),
-        weights=np.array([2.0, 1.0]))
-    report = solve(problem, np.array([0.0]), max_iterations=200)
+    problem = padded_problem(1, 2, lambda x: np.array([x[0] - 1.0, x[0] - 4.0]),
+                             lambda x: np.array([[1.0], [1.0]]),
+                             weights=np.array([2.0, 1.0]))
+    report = solve(problem, pad([0.0]), max_iterations=200)
     assert report.params[0] == pytest.approx(2.0, abs=1e-6)
 
 
@@ -92,14 +109,11 @@ def test_huber_downweights_outlier():
     targets = np.array([0.0, 0.1, -0.1, 100.0])
 
     def make(delta=None):
-        return ResidualProblem(
-            n_params=1,
-            residual=lambda x: x[0] - targets,
-            jacobian=lambda x: np.ones((4, 1)),
-            huber_delta=delta)
+        return padded_problem(1, 4, lambda x: x[0] - targets,
+                              lambda x: np.ones((4, 1)), huber_delta=delta)
 
-    x_sq = solve(make(), np.array([0.0]), max_iterations=300).params[0]
-    x_hu = solve(make(1.0), np.array([0.0]), max_iterations=300).params[0]
+    x_sq = solve(make(), pad([0.0]), max_iterations=300).params[0]
+    x_hu = solve(make(1.0), pad([0.0]), max_iterations=300).params[0]
     assert x_sq == pytest.approx(25.0, abs=1e-6)
     assert abs(x_hu) < 1.0
 
@@ -151,21 +165,20 @@ def test_problem_validation():
         scalar_problem(lower=np.array([3.0]), upper=np.array([1.0]))
     with pytest.raises(ValueError, match="bounds"):
         scalar_problem(lower=np.array([0.0, 0.0]))
-    # n_params 2, n_global 1: one local parameter, so slot 1 is out of range
-    for slot, n_global in (([0, 1], None), ([0, 1], 2), ([0, -1], 1), ([0.0], 1),
-                           ([0, 1], 1), ([-1], 1)):
-        with pytest.raises(ValueError, match="slot"):
-            ResidualProblem(2, scalar_problem().residual, scalar_problem().jacobian,
-                            slot=np.array(slot), n_global=n_global)
-    message = r"^slot entries must be integers in \[0, n_params - n_global\)$"
-    with pytest.raises(ValueError, match=message):
-        ResidualProblem(3, scalar_problem().residual, scalar_problem().jacobian,
-                        slot=np.array([0, 2]), n_global=1)
+    # n_params 3: two globals and one local parameter, so slot 1 is out of range
+    message = r"^slot entries must be integers in \[0, n_params - 2\)$"
+    for slot in ([0, 1], [0, -1], [0.0], [-1], [[0]]):
+        with pytest.raises(ValueError, match=message):
+            ResidualProblem(3, scalar_problem().residual, scalar_problem().jacobian,
+                            slot=np.array(slot))
+    # the slot form needs a local parameter
+    for n_params in (0, 1, 2):
+        with pytest.raises(ValueError, match=r"^slot needs n_params > 2$"):
+            ResidualProblem(n_params, scalar_problem().residual, scalar_problem().jacobian,
+                            slot=np.zeros(1, dtype=int))
     # empty weights and slots pass construction; solve checks their lengths
-    ResidualProblem(2, scalar_problem().residual, scalar_problem().jacobian,
-                    weights=np.zeros(0), slot=np.zeros(0, dtype=int), n_global=1)
-    with pytest.raises(ValueError, match="n_global needs slot"):
-        scalar_problem(n_global=0)
+    ResidualProblem(3, scalar_problem().residual, scalar_problem().jacobian,
+                    weights=np.zeros(0), slot=np.zeros(0, dtype=int))
 
 
 def test_solve_input_validation():
@@ -173,46 +186,61 @@ def test_solve_input_validation():
         solve(scalar_problem(), np.array([1.0, 2.0]))
     bad_w = scalar_problem(weights=np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="weights"):
-        solve(bad_w, np.array([1.0]))
+        solve(bad_w, pad([1.0]))
+    bad_slot = scalar_problem()
+    bad_slot.slot = np.zeros(2, dtype=int)
+    with pytest.raises(ValueError, match="^slot must have one entry per residual$"):
+        solve(bad_slot, pad([1.0]))
 
-    problem = ResidualProblem(
-        n_params=1,
-        residual=lambda x: np.array([x[0]]),
-        jacobian=lambda x: np.array([[1.0], [1.0]]))
+    problem = ResidualProblem(3, lambda x: np.array([x[0]]), lambda x: np.ones((2, 3)),
+                              slot=np.zeros(1, dtype=int))
     with pytest.raises(ValueError, match="jacobian shape"):
-        solve(problem, np.array([1.0]))
+        solve(problem, pad([1.0]))
 
-    # the slot form takes (N, n_global + 1) columns, not the dense matrix
+    # the slot form takes (N, 3) columns, not the dense matrix
     obs, x0, _, _ = random_fog_problem(np.random.default_rng(0))
     dense = ResidualProblem(x0.size, lambda x: residual_and_jacobian(x, obs)[0],
                             lambda x: residual_and_jacobian(x, obs)[1],
-                            slot=obs.slot, n_global=2)
+                            slot=obs.slot)
     with pytest.raises(ValueError, match="jacobian shape"):
         solve(dense, x0)
 
 
+def test_solve_refuses_a_dense_problem():
+    obs, x0, _, _ = random_fog_problem(np.random.default_rng(0))
+    calls = []
+    dense = ResidualProblem(x0.size, lambda x: calls.append(x) or residual_and_jacobian(x, obs)[0],
+                            lambda x: residual_and_jacobian(x, obs)[1])
+    with pytest.raises(ValueError, match="^solve needs a problem in the slot form$"):
+        solve(dense, x0)
+    assert calls == []
+    # check_jacobian still takes it, and agrees with the slot form
+    slot = _fog_problem(x0.size, obs.distance, obs.radiance, obs.slot)
+    assert check_jacobian(dense, x0) < 1e-6
+    assert check_jacobian(slot, x0) < 1e-6
+    assert np.array_equal(slot.dense_jacobian(x0), dense.dense_jacobian(x0))
+
+
 def test_non_finite_start_raises():
-    problem = ResidualProblem(
-        n_params=1,
-        residual=lambda x: np.array([np.nan]),
-        jacobian=lambda x: np.array([[1.0]]))
+    problem = padded_problem(1, 1, lambda x: np.array([np.nan]),
+                             lambda x: np.array([[1.0]]))
     with pytest.raises(NumericError):
-        solve(problem, np.array([0.0]))
+        solve(problem, pad([0.0]))
 
 
 def test_zero_information_parameter_stays_put():
-    # second parameter never enters the residual; it must not move
-    problem = ResidualProblem(
-        n_params=2,
-        residual=lambda x: np.array([x[0] - 3.0]),
-        jacobian=lambda x: np.array([[1.0, 0.0]]))
-    report = solve(problem, np.array([0.0, 7.0]))
+    # second parameter never enters the residual; it must not move, nor
+    # must the local parameter, whose Jacobian column is zero too
+    problem = padded_problem(2, 1, lambda x: np.array([x[0] - 3.0]),
+                             lambda x: np.array([[1.0, 0.0]]))
+    report = solve(problem, np.array([0.0, 7.0, -2.0]))
     assert report.params[0] == pytest.approx(3.0, abs=1e-8)
-    assert report.params[1] == 7.0
+    assert report.params[1] == 7.0 and report.params[2] == -2.0
 
 
 def test_check_jacobian_flags_wrong_analytic():
-    good = rosenbrock_problem()
+    # the dense form, as acceptance criterion 1 poses it
+    good = ResidualProblem(2, rosenbrock_residual, rosenbrock_jacobian)
     assert check_jacobian(good, np.array([-1.2, 1.0])) < 1e-7
 
     bad = ResidualProblem(
@@ -223,9 +251,9 @@ def test_check_jacobian_flags_wrong_analytic():
 
 
 def test_stop_reasons():
-    report = solve(scalar_problem(), np.array([10.0]), max_iterations=1)
+    report = solve(scalar_problem(), pad([10.0]), max_iterations=1)
     assert report.reason == "max-iter"
-    report = solve(scalar_problem(), np.array([3.0]))
+    report = solve(scalar_problem(), pad([3.0]))
     assert report.reason == "gradient"   # already at the optimum
 
 
@@ -233,12 +261,10 @@ def test_small_relative_cost_reduction_stops_after_the_step():
     # a constant residual of 1e3 holds the cost near 1e6, so the first
     # accepted step, which removes ~1e-6 of it, lowers the cost by ~1e-12
     # relative: the solve stops on "cost" right after that step
-    problem = ResidualProblem(
-        n_params=1,
-        residual=lambda x: np.array([x[0] - 3.0, 1e3]),
-        jacobian=lambda x: np.array([[1.0], [0.0]]))
+    problem = padded_problem(1, 2, lambda x: np.array([x[0] - 3.0, 1e3]),
+                             lambda x: np.array([[1.0], [0.0]]))
     calls = counting(problem)
-    report = solve(problem, np.array([3.001]))
+    report = solve(problem, pad([3.001]))
     assert report.reason == "cost"
     assert report.iterations == 1
     assert 0.0 < 1e6 + 1e-6 - report.cost <= 1e-10 * (1e6 + 1e-6)
@@ -340,9 +366,10 @@ def counting(problem):
 @pytest.mark.parametrize("form", ["dense", "slot"])
 def test_callback_calls_per_iteration(form):
     # the residual once for the size, once at the start and once per trial
-    # point; the Jacobian once at the start and once per accepted step
+    # point; the Jacobian once at the start and once per accepted step.
+    # "dense" is a small problem without local parameters, padded
     if form == "dense":
-        problem, x0 = scalar_problem(), np.array([10.0])
+        problem, x0 = scalar_problem(), pad([10.0])
     else:
         obs, x0, rows, fields = random_fog_problem(np.random.default_rng(0))
         problem = fog_slot_problem(obs, x0, rows, fields)
@@ -356,7 +383,7 @@ def test_callback_calls_per_iteration(form):
     # and every point the Jacobian saw is as it was when it saw it
     def build():
         if form == "dense":
-            return rosenbrock_problem(), np.array([-1.2, 1.0])
+            return rosenbrock_problem(), pad([-1.2, 1.0])
         return fog_case(0)
 
     problem, x0 = build()
@@ -486,7 +513,7 @@ def reference_solve(problem: ResidualProblem, x0: np.ndarray,
         if problem.weights.shape != (n_res,):
             raise ValueError("weights must have one entry per residual")
         sqrt_w = np.sqrt(problem.weights)
-    n_global = problem.n_global
+    n_global = 2
     n_local = problem.n_params - n_global
     if problem.slot is None:
         flat = prod = None
@@ -631,14 +658,14 @@ REFERENCE_CASES = {
     "beta-on-bound-subset-1": (lambda: fog_case(1, subset=True, beta_cap=0.004), 100, "cost"),
     "pinned-box": (lambda: fog_case(2, pinned=True), 100, "step"),
     "cap-3": (lambda: fog_case(5), 3, "max-iter"),
-    "scalar": (lambda: (scalar_problem(), np.array([10.0])), 100, "gradient"),
+    "scalar": (lambda: (scalar_problem(), pad([10.0])), 100, "gradient"),
     "scalar-on-bound": (lambda: (scalar_problem(lower=np.array([0.0]), upper=np.array([2.0])),
-                                 np.array([1.0])), 100, "step"),
-    "rosenbrock": (lambda: (rosenbrock_problem(), np.array([-1.2, 1.0])), 100, "gradient"),
-    "rosenbrock-cap-5": (lambda: (rosenbrock_problem(), np.array([-1.2, 1.0])), 5, "max-iter"),
+                                 pad([1.0])), 100, "step"),
+    "rosenbrock": (lambda: (rosenbrock_problem(), pad([-1.2, 1.0])), 100, "gradient"),
+    "rosenbrock-cap-5": (lambda: (rosenbrock_problem(), pad([-1.2, 1.0])), 5, "max-iter"),
     # the residuals are the point itself, so they live in the trial buffer
-    "residual-is-x": (lambda: (ResidualProblem(2, lambda x: x, lambda x: np.eye(2)),
-                               np.array([3.0, -4.0])), 100, "gradient"),
+    "residual-is-x": (lambda: (padded_problem(2, 2, lambda x: x, lambda x: np.eye(2)),
+                               pad([3.0, -4.0])), 100, "gradient"),
 }
 
 
@@ -654,7 +681,7 @@ def test_solve_matches_the_reference_bitwise(name):
         assert got.params[0] == problem.upper[0]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [2])
 def test_cholesky_solve_matches_the_reference(n):
     rng = np.random.default_rng(n)
     results = []
@@ -672,7 +699,7 @@ def test_cholesky_solve_matches_the_reference(n):
             assert got is None
         else:
             assert [v.hex() for v in got] == [v.hex() for v in want]
-    # both outcomes occur (n = 1: a pivot is s itself, negative half the time)
+    # both outcomes occur
     assert any(results) and not all(results)
     # a zero or NaN leading pivot is not positive
     for pivot in (0.0, math.nan):

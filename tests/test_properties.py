@@ -127,13 +127,19 @@ def test_solver_stays_feasible_and_deterministic(data):
                                       st.floats(-8.0, 8.0, **finite))))
     x0 = np.array(data.draw(st.tuples(st.floats(-10.0, 10.0, **finite),
                                       st.floats(-10.0, 10.0, **finite))))
-    lo = np.full(2, lims[0])
-    hi = np.full(2, lims[1])
-    problem = ResidualProblem(n_params=2, residual=lambda x: A @ x - b,
-                              jacobian=lambda x: A, lower=lo, upper=hi)
+    lo = np.full(3, lims[0])
+    hi = np.full(3, lims[1])
+    # the solver's slot form: the two unknowns are its globals, padded with
+    # one local parameter that no residual depends on
+    J = np.column_stack((A, np.zeros(n_rows)))
+    problem = ResidualProblem(n_params=3, residual=lambda x: A @ x[:2] - b,
+                              jacobian=lambda x: J, lower=lo, upper=hi,
+                              slot=np.zeros(n_rows, dtype=int))
+    x0 = np.append(x0, data.draw(st.floats(-10.0, 10.0, **finite)))
     r1 = solve(problem, x0, max_iterations=30)
     r2 = solve(problem, x0, max_iterations=30)
     assert np.all((r1.params >= lo) & (r1.params <= hi))
+    assert r1.params[2] == min(max(x0[2], lims[0]), lims[1])   # no information, no move
     assert r1.cost >= 0.0
     assert r1.params.tobytes() == r2.params.tobytes()
     assert r1.cost == r2.cost and r1.iterations == r2.iterations

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from foglab.scattering import (FogParams, IntensityFogParams, beta_from_visibility,
-                               distance_from_depth, predict_radiance,
-                               quantize_to_u8, synthesize_fog_image,
+                               predict_radiance, quantize_to_u8, synthesize_fog_image,
                                synthesize_fog_pixel, transmission,
                                visibility_from_beta)
 
@@ -146,19 +145,3 @@ def test_quantize_to_u8():
     with pytest.raises(ValueError):
         quantize_to_u8(np.array([math.nan]))
 
-
-def test_distance_from_depth_geometry():
-    depth = np.full((3, 5), 10.0)
-    d = distance_from_depth(depth, fx=100.0, fy=100.0, cx=2.0, cy=1.0)
-    # principal point: distance equals depth exactly
-    assert d[1, 2] == pytest.approx(10.0, rel=1e-12)
-    # one pixel to the right: z * sqrt(1 + (1/fx)^2)
-    assert d[1, 3] == pytest.approx(10.0 * math.sqrt(1.0 + 1e-4), rel=1e-12)
-    assert np.all(d >= 10.0)
-
-
-def test_distance_from_depth_validation():
-    with pytest.raises(ValueError):
-        distance_from_depth(np.zeros(4), 1.0, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        distance_from_depth(np.zeros((2, 2)), -1.0, 1.0, 0.0, 0.0)
