@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the number grammar of its
-text formats.
+"""Exception types shared across the package, and how its text formats
+read a file and a number.
 
 Argument/precondition violations raise plain ValueError; the classes here
 cover failures that depend on the data itself, so callers (and the CLI) can
@@ -17,6 +17,21 @@ def parse_number(token: str, convert=float):
     if not token.isascii():
         raise ValueError(f"{token!r} is not ASCII")
     return convert(token)
+
+
+def read_ascii(path) -> str:
+    """The text of an ASCII file, with each ``\\r\\n`` or ``\\r`` line end read as
+    ``\\n``. A byte that is not ASCII raises :class:`MapFormatError` with its
+    line number."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:                     # replace scans slowly even when nothing matches
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise MapFormatError(f"byte {data[exc.start]:#04x} is not ASCII",
+                             data.count(b"\n", 0, exc.start) + 1) from exc
 
 
 class DataError(Exception):

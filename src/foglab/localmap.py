@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MapFormatError, parse_number
+from .errors import MapFormatError, parse_number, read_ascii
 from .photometry import CHANNEL_NAMES, GammaMap, check_channel, expand
 from .scattering import luma
 
@@ -42,9 +42,13 @@ def sort_pairs(frame: np.ndarray, landmark: np.ndarray):
     """Stable sort of rows by (frame, landmark): the order (``slice(None)``
     if they are in order already) and masks over the sorted rows of those
     that repeat the previous row's frame, and its (frame, landmark) pair."""
+    # in order: frames never fall, and where a frame repeats its landmark
+    # does not fall. Rows in landmark order, such as an ObservationSet's,
+    # already fail the cheaper frame test.
     order = slice(None)
-    if not np.logical_and.reduce((frame[:-1] < frame[1:])
-                                 | ((frame[:-1] == frame[1:]) & (landmark[:-1] <= landmark[1:]))):
+    if not (np.logical_and.reduce(frame[:-1] <= frame[1:])
+            and np.logical_and.reduce((frame[:-1] < frame[1:])
+                                      | (landmark[:-1] <= landmark[1:]))):
         order = np.lexsort((landmark, frame))
     frame, landmark = frame[order], landmark[order]
     same_frame = np.zeros(frame.size, dtype=bool)
@@ -318,13 +322,45 @@ def _parse_edges(fields: list[str], linenos: list[int], n_channels: int) -> np.n
     raise MapFormatError(_edge_syntax(n_channels), linenos[lo])
 
 
+def _bulk_graph(lines: list[str], n_channels: int, frames, landmarks):
+    """Graph of the edge records in ``lines``, parsed in one ``np.loadtxt``
+    call, or None unless every record there is a well-formed, valid edge."""
+    edge_dtype = _edge_dtype(n_channels)
+    # U5, not U4, so that "edges" is not truncated to "edge"
+    dtype = np.dtype([("kind", "U5"), *((name, edge_dtype.fields[name][0])
+                                        for name in edge_dtype.names)])
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, ndmin=1)
+    except ValueError:
+        return None
+    if not np.all(rows["kind"] == "edge"):
+        return None
+    table = np.empty(rows.size, edge_dtype)
+    for name in edge_dtype.names:
+        table[name] = rows[name]
+    try:
+        return LocalMapGraph._from_table(table, frames, landmarks)
+    except EdgeError:
+        return None
+
+
 def load_map(path) -> LocalMapGraph:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
+    """Read a ``.map`` file (docs/file_formats.md).
+
+    The header, ``frame`` and ``landmark`` records are parsed line by line.
+    From the first ``edge`` record on, the rest of the file is parsed in one
+    ``np.loadtxt`` call when it holds only valid edge records, as every
+    file :func:`save_map` writes does. Otherwise the line loop carries on
+    over the rest too and raises :class:`MapFormatError` with the line of
+    the first bad record.
+    """
+    source = read_ascii(path)
+    lines = source.split("\n")
 
     header = None
     frames, landmarks = {}, {}
     edge_fields, edge_lines = [], []
+    graph = None
     try:
         for lineno, raw in enumerate(lines, start=1):
             text = raw.split("#", 1)[0]
@@ -332,6 +368,11 @@ def load_map(path) -> LocalMapGraph:
             if not record:
                 continue
             if record[0] == "edge" and len(record) == 2 and header is not None:
+                # numpy's fixed-width strings drop a NUL that ends a keyword
+                if not edge_fields and "\0" not in source:
+                    graph = _bulk_graph(lines[lineno - 1:], nc, frames, landmarks)
+                    if graph is not None:
+                        break
                 edge_fields.append(record[1])
                 edge_lines.append(lineno)
                 continue
@@ -363,11 +404,12 @@ def load_map(path) -> LocalMapGraph:
         raise
     if header is None:
         raise MapFormatError("empty file: missing localmap header")
-    edges = _parse_edges(edge_fields, edge_lines, nc)
-    try:
-        graph = LocalMapGraph._from_table(edges, frames, landmarks)
-    except EdgeError as exc:
-        raise MapFormatError(str(exc), edge_lines[exc.row]) from exc
+    if graph is None:
+        edges = _parse_edges(edge_fields, edge_lines, nc)
+        try:
+            graph = LocalMapGraph._from_table(edges, frames, landmarks)
+        except EdgeError as exc:
+            raise MapFormatError(str(exc), edge_lines[exc.row]) from exc
     counts = (len(graph.frames), len(graph.landmarks), len(graph.edges))
     if counts != header:
         raise MapFormatError(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegenerateDataError, MapFormatError, parse_number
+from .errors import DataError, DegenerateDataError, MapFormatError, parse_number, read_ascii
 
 GAMMA_SEARCH_RANGE = (0.2, 5.0)
 # gray first, then the color channels in the order a color map stores them
@@ -197,20 +197,19 @@ def load_gamma_file(path) -> ChannelGammaMaps:
     """Read a gamma map file; channels other than gray default to gray
     (:meth:`ChannelGammaMaps.from_dict`)."""
     found: dict[str, GammaMap] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise MapFormatError("expected: channel alpha gamma zeta", lineno)
-            name = parts[0]
-            if name in found:
-                raise MapFormatError(f"duplicate channel {name!r}", lineno)
-            try:
-                alpha, gamma, zeta = map(parse_number, parts[1:])
-                found[check_channel(name)] = GammaMap(alpha, gamma, zeta)
-            except ValueError as exc:
-                raise MapFormatError(str(exc), lineno) from exc
+    for lineno, raw in enumerate(read_ascii(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise MapFormatError("expected: channel alpha gamma zeta", lineno)
+        name = parts[0]
+        if name in found:
+            raise MapFormatError(f"duplicate channel {name!r}", lineno)
+        try:
+            alpha, gamma, zeta = map(parse_number, parts[1:])
+            found[check_channel(name)] = GammaMap(alpha, gamma, zeta)
+        except ValueError as exc:
+            raise MapFormatError(str(exc), lineno) from exc
     return ChannelGammaMaps.from_dict(found)

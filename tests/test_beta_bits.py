@@ -1,16 +1,23 @@
 """tools/beta_bits.py: the bits of every beta of a perfbench workload's ops."""
 
+import hashlib
+import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from foglab.localmap import ObservationSet
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "beta_bits.py"
 REASONS = {"gradient", "step", "cost", "max-iter"}
+SHA256 = re.compile("[0-9a-f]{64}")
 
 
 def run_tool(*args):
@@ -38,6 +45,9 @@ def test_smoke_run_prints_one_line_per_op_and_repeats_exactly():
         # one estimate per stream op: a stage-1 and a stage-2 solve
         assert len(line["solves"]) == 2
         assert all(n >= 1 and reason in REASONS for n, reason in line["solves"])
+        assert SHA256.fullmatch(line["observations"])
+    # each op estimates from another prefix of its scene
+    assert len({line["observations"] for line in lines}) == 3
 
 
 @pytest.mark.parametrize("workload", ["bigmap", "trials", "recovery"])
@@ -50,9 +60,30 @@ def test_smoke_run_of_every_other_workload(workload):
     assert betas and all(math.isfinite(beta) and beta > 0 for beta in betas)
     assert line["solves"]
     assert all(n >= 1 and reason in REASONS for n, reason in line["solves"])
+    assert SHA256.fullmatch(line["observations"])
 
 
 def test_a_checkout_without_the_package_is_refused(tmp_path):
     proc = run_tool(tmp_path, "trials", 1, 1)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "no foglab package" in proc.stderr
+
+
+def test_the_observation_digest_covers_every_column_of_every_set():
+    spec = importlib.util.spec_from_file_location("beta_bits", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    columns = {"frame": [0, 1, 2], "landmark": [7, 7, 9],
+               "distance": [5.0, 6.0, 7.0], "radiance": [100.0, 90.0, 80.0]}
+    sets = [ObservationSet.from_columns(**columns),
+            ObservationSet.from_columns(**{**columns, "distance": [1.0, 2.0, 3.0]})]
+    expected = hashlib.sha256()
+    for obs in sets:
+        for name in ("frame", "landmark", "distance", "radiance"):
+            expected.update(getattr(obs, name).tobytes())
+    digest = tool.observation_digest(sets)
+    assert digest == expected.hexdigest()
+    assert tool.observation_digest([]) == hashlib.sha256().hexdigest()
+    for name, value in columns.items():
+        changed = {**columns, name: np.add(value, 1).tolist()}
+        assert tool.observation_digest([ObservationSet.from_columns(**changed), sets[1]]) != digest

@@ -1,11 +1,13 @@
 """Local map graph, landmark selection, and the line-oriented map format."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from foglab import localmap
 from foglab.errors import MapFormatError, NotEnoughDataError
 from foglab.estimator import EstimatorConfig, EstimatorState, estimate
 from foglab.localmap import (EdgeError, LocalMapGraph, ObservationSet, Observation,
@@ -399,6 +401,78 @@ def test_number_spellings_match_python(tmp_path, id_token, number):
     path.write_text(f"localmap 1 1 1 1\nframe {id_token} {number} 0 {number}\n"
                     f"landmark {id_token}\nedge {id_token} {id_token} {number} 1\n")
     assert_same_graph(load_map(path), reference_load(path))
+
+
+GRAY_HEAD = "localmap 2 2 4 1\nframe 0\nframe 1\nlandmark 7\nlandmark 9\n"
+EDGES_12 = "edge 0 7 52.0 141.0\nedge 0 9 38.5 97.0\n"          # lines 6 and 7
+EDGES_34 = "edge 1 7 48.0 138.0\nedge 1 9 34.5 92.0\n"
+
+
+@pytest.mark.parametrize("text, bulk, error", [
+    # a record other than an edge after the first edge: the line loop reads it
+    pytest.param(GRAY_HEAD.replace("2 2 4", "3 2 4") + EDGES_12 + "frame 2 8.0 0.0 0.0\n"
+                 + EDGES_34, False, None, id="frame-after-edges"),
+    pytest.param(GRAY_HEAD.replace("2 2 4", "3 2 4") + EDGES_12 + "frame 2 1 2 3\n"
+                 + EDGES_34, False, None, id="frame-with-an-edge's-field-count"),
+    pytest.param(GRAY_HEAD + EDGES_12 + "edges" + EDGES_34[4:], False,
+                 "line 8: unknown record 'edges'", id="edges"),
+    pytest.param(GRAY_HEAD + EDGES_12 + "edgex" + EDGES_34[4:], False,
+                 "line 8: unknown record 'edgex'", id="edgex"),
+    pytest.param(GRAY_HEAD + EDGES_12 + "edge\0" + EDGES_34[4:], False,
+                 "line 8: unknown record 'edge\\\\x00'", id="nul-after-edge"),
+    pytest.param(GRAY_HEAD + EDGES_12 + "edge # note\n" + EDGES_34, False,
+                 "line 8: edge takes integer frame and landmark ids", id="edge-without-fields"),
+    pytest.param(GRAY_HEAD + EDGES_12 + "# a comment\nedge 1 7 -48.0 138.0\n"
+                 "edge 1 9 34.5 92.0\n", False,
+                 "line 9: edge at frame 1, landmark 7: distance must be positive",
+                 id="negative-distance"),
+    # only edges, comments and blank lines from the first edge on: one call
+    pytest.param(GRAY_HEAD + EDGES_12 + "\n# a comment\n   \t# another\n"
+                 "edge 1 7 48.0 138.0 # note\n\nedge 1 9 34.5 92.0\n", True, None,
+                 id="blank-and-comment-lines"),
+    pytest.param(GRAY_HEAD + EDGES_12 + "edge\t1\t7\t48.0\t138.0\nedge 1 \t9 34.5\t 92.0\n",
+                 True, None, id="tabs"),
+    pytest.param(GRAY_HEAD.replace("4 1", "4 3") + "edge 0 7 52.0 141.0 1 2\n"
+                 "edge 0 9 38.5 97.0 3 4\nedge 1 7 48.0 138.0 5 6\nedge 1 9 34.5 92.0 7 8\n",
+                 True, None, id="three-channels")])
+def test_the_bulk_edge_path_matches_the_line_loop(tmp_path, monkeypatch, text, bulk, error):
+    """The one-call edge parse gives what the line loop alone gives: the same
+    table, or the same error on the same line."""
+    path = tmp_path / "map.txt"
+    path.write_text(text)
+
+    def outcome():
+        try:
+            graph = load_map(path)
+        except MapFormatError as exc:
+            return str(exc)
+        return (graph.n_channels, graph.frames, graph.landmarks, graph.edges.dtype,
+                graph.edges.tobytes())
+
+    bulk_graph, bulk_results = localmap._bulk_graph, []
+
+    def recorded(*args):
+        bulk_results.append(bulk_graph(*args))
+        return bulk_results[-1]
+
+    monkeypatch.setattr(localmap, "_bulk_graph", recorded)
+    got = outcome()
+    assert any(result is not None for result in bulk_results) == bulk
+    if error is None:
+        assert not isinstance(got, str), got
+    else:
+        assert re.match(f"^{error}", got), got
+    monkeypatch.setattr(localmap, "_bulk_graph", lambda *args: None)
+    assert outcome() == got
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_a_byte_that_is_not_ascii_is_reported_on_its_line(tmp_path, newline):
+    path = tmp_path / "map.txt"
+    lines = ["localmap 1 1 1 1", "frame 0", "landmark 3 # caf\u00e9", "edge 0 3 5.0 100.0", ""]
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+    with pytest.raises(MapFormatError, match="^line 3: byte 0xc3 is not ASCII$"):
+        load_map(path)
 
 
 def test_map_without_edges_loads_without_a_warning(tmp_path):

@@ -187,6 +187,13 @@ def test_gamma_file_refuses_digit_groups(tmp_path):
         load_gamma_file(path)
 
 
+def test_gamma_file_reports_a_byte_that_is_not_ascii_on_its_line(tmp_path):
+    path = tmp_path / "cam.gamma"
+    path.write_bytes("# channel alpha gamma zeta\ngray 2.0 1.5 0.25 # \u00bd\n".encode("utf-8"))
+    with pytest.raises(MapFormatError, match="^line 2: byte 0xc2 is not ASCII$"):
+        load_gamma_file(path)
+
+
 def test_gamma_file_requires_gray(tmp_path):
     path = tmp_path / "no_gray.gamma"
     path.write_text("r 1.0 1.0 0.0\n")

@@ -8,9 +8,12 @@ or recovery) at SEED, with ``foglab`` imported from ``CHECKOUT/src``. The
 workload code is this repository's ``perfbench/workloads.py``, so two
 checkouts run the same ops; its inputs are written to a temporary directory
 outside both trees. Prints one JSON line per op: the op index, the hex of
-every beta the op returns, and each solve's (iterations, stop reason) in
-call order. Two checkouts compute bitwise the same estimates when their
-outputs are equal:
+every beta the op returns, each solve's (iterations, stop reason) in call
+order, and a SHA-256 digest of the observations every estimate of the op
+was given (the bytes of their ``frame``, ``landmark``, ``distance`` and
+``radiance`` columns, in call order), so that a change to ingest is checked
+before the solver sees it. Two checkouts compute bitwise the same estimates
+from the same observations when their outputs are equal:
 
     python3 tools/beta_bits.py ../parent trials 1 300 > parent.txt
     python3 tools/beta_bits.py . trials 1 300 > change.txt
@@ -23,6 +26,7 @@ BLAS reduction order. ``--smoke`` uses perfbench's tiny input sizes.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -42,9 +46,18 @@ def parse_args(argv):
     return p.parse_args(argv)
 
 
+def replace_everywhere(function, wrapper) -> None:
+    """Put ``wrapper`` in place of ``function`` in every foglab module that
+    holds it under its own name."""
+    name = function.__name__
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "foglab" and getattr(module, name, None) is function:
+            setattr(module, name, wrapper)
+
+
 def record_solves(reports: list) -> None:
-    """Wrap ``optimizer.solve`` in every foglab module that holds it, so that
-    each call appends its ``SolveReport`` to ``reports``."""
+    """Wrap ``optimizer.solve`` so that each call appends its
+    ``SolveReport`` to ``reports``."""
     from foglab import optimizer
     solve = optimizer.solve
 
@@ -53,9 +66,30 @@ def record_solves(reports: list) -> None:
         reports.append(report)
         return report
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "foglab" and getattr(module, "solve", None) is solve:
-            module.solve = recorded
+    replace_everywhere(solve, recorded)
+
+
+def record_observations(inputs: list) -> None:
+    """Wrap ``estimator.estimate`` so that each call appends its
+    ``ObservationSet`` to ``inputs``."""
+    from foglab import estimator
+    estimate = estimator.estimate
+
+    def recorded(obs, *args, **kwargs):
+        inputs.append(obs)
+        return estimate(obs, *args, **kwargs)
+
+    replace_everywhere(estimate, recorded)
+
+
+def observation_digest(inputs: list) -> str:
+    """SHA-256 of the ``frame``, ``landmark``, ``distance`` and ``radiance``
+    columns of each ``ObservationSet`` in ``inputs``, in order."""
+    digest = hashlib.sha256()
+    for obs in inputs:
+        for column in (obs.frame, obs.landmark, obs.distance, obs.radiance):
+            digest.update(column.tobytes())
+    return digest.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -75,17 +109,21 @@ def main(argv=None) -> int:
     import workloads
 
     reports: list = []
+    inputs: list = []
     record_solves(reports)
+    record_observations(inputs)
     with tempfile.TemporaryDirectory(prefix="beta_bits-") as workdir:
         workload = workloads.WORKLOADS[args.workload](args.seed, args.smoke, workdir)
         workload.setup()
         op = workload.runner()
         for i in range(args.n):
             reports.clear()
+            inputs.clear()
             result = op(i)
             line = {"op": i, "failed": result.failed,
                     "betas": [float(b).hex() for b in result.betas],
-                    "solves": [[r.iterations, r.reason] for r in reports]}
+                    "solves": [[r.iterations, r.reason] for r in reports],
+                    "observations": observation_digest(inputs)}
             print(json.dumps(line), flush=True)
     return 0
 
