@@ -79,8 +79,7 @@ def _top_dark_pixels(image: np.ndarray, radius: int):
     flat = dc.ravel()
     count = max(1, int(round(0.001 * flat.size)))
     # stable selection: sort by (dark value desc, flat index asc)
-    order = np.lexsort((np.arange(flat.size), -flat))
-    idx = order[:count]
+    idx = np.argsort(-flat, kind="stable")[:count]
     if image.ndim == 3:
         return image.reshape(-1, image.shape[2])[idx]
     return image.ravel()[idx]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import fields, replace
@@ -15,7 +16,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import baselines, harness, simulator
-from .errors import DataError, NotEnoughDataError, parse_number
+from .errors import DataError, NotEnoughDataError, parse_number, read_ascii
 from .estimator import (DEFAULT_BETA_BOUNDS, EstimatorConfig, EstimatorState, estimate,
                         format_estimate_record)
 from .localmap import generate_dr_pairs, load_map, save_map
@@ -106,8 +107,7 @@ def _cmd_simulate(args) -> int:
     noise = simulator.NoiseSpec(std=args.noise_std, seed=args.seed,
                                 quantize=not args.no_quantize)
     if args.config is not None:
-        with open(args.config, "r", encoding="ascii") as fh:
-            cfg = json.load(fh)
+        cfg = json.loads(read_ascii(args.config))
         if not isinstance(cfg, dict):
             raise DataError("scene config must be a JSON object")
         known = ("n_landmarks", "n_frames", "frame_spacing", "start_distance_range", "noise")
@@ -201,18 +201,17 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_fit_gamma(args) -> int:
     series: dict[str, tuple[list[float], list[float]]] = {}
-    with open(args.csv, "r", newline="", encoding="ascii") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or \
-                not {"channel", "intensity", "power"} <= set(reader.fieldnames):
-            raise DataError("calibration csv needs channel,intensity,power columns")
-        for rec in reader:
-            try:
-                chan = series.setdefault(check_channel(rec["channel"]), ([], []))
-            except ValueError as exc:
-                raise DataError(f"csv line {reader.line_num}: {exc}") from None
-            chan[0].append(_csv_number(reader, rec, "intensity"))
-            chan[1].append(_csv_number(reader, rec, "power"))
+    reader = csv.DictReader(io.StringIO(read_ascii(args.csv)))
+    if reader.fieldnames is None or \
+            not {"channel", "intensity", "power"} <= set(reader.fieldnames):
+        raise DataError("calibration csv needs channel,intensity,power columns")
+    for rec in reader:
+        try:
+            chan = series.setdefault(check_channel(rec["channel"]), ([], []))
+        except ValueError as exc:
+            raise DataError(f"csv line {reader.line_num}: {exc}") from None
+        chan[0].append(_csv_number(reader, rec, "intensity"))
+        chan[1].append(_csv_number(reader, rec, "power"))
     fitted: dict[str, GammaMap] = {}
     for name, (i, p) in series.items():
         gmap, resid = fit_gamma_map(CalibrationSeries(np.array(i), np.array(p)))
@@ -286,17 +285,16 @@ def _cmd_histogram_demo(args) -> int:
 
 def _cmd_metrics(args) -> int:
     estimates, truths = [], []
-    with open(args.csv, "r", newline="", encoding="ascii") as fh:
-        reader = csv.DictReader(fh)
-        columns = reader.fieldnames or []
-        if args.column not in columns:
-            raise DataError(f"csv has no column {args.column!r}")
-        if args.truth is None and args.truth_column not in columns:
-            raise DataError(f"csv has no column {args.truth_column!r}; pass --truth")
-        for rec in reader:
-            estimates.append(_csv_number(reader, rec, args.column))
-            if args.truth is None:
-                truths.append(_csv_number(reader, rec, args.truth_column))
+    reader = csv.DictReader(io.StringIO(read_ascii(args.csv)))
+    columns = reader.fieldnames or []
+    if args.column not in columns:
+        raise DataError(f"csv has no column {args.column!r}")
+    if args.truth is None and args.truth_column not in columns:
+        raise DataError(f"csv has no column {args.truth_column!r}; pass --truth")
+    for rec in reader:
+        estimates.append(_csv_number(reader, rec, args.column))
+        if args.truth is None:
+            truths.append(_csv_number(reader, rec, args.truth_column))
     truth = args.truth if args.truth is not None else truths
     m = compute_metrics(estimates, truth)
     print(f"n={m.n} rmse={m.rmse:.6g} mae={m.mae:.6g} sd={m.sd:.6g} "

@@ -10,8 +10,9 @@ tell "bad input values" apart from "this data cannot support an estimate".
 def parse_number(token: str, convert=float):
     """``convert(token)``, for ``convert`` ``int`` or ``float``, in the one
     number grammar every text reader uses: Python's, in ASCII and without its
-    ``_`` digit groups (``np.loadtxt`` refuses them in map edge records).
-    ValueError otherwise."""
+    ``_`` digit groups, which no file format documents and which would let
+    ``1_0`` read as 10. ``np.loadtxt``, which reads a map's edge records in
+    bulk, takes the same spellings. ValueError otherwise."""
     if "_" in token:
         raise ValueError(f"'_' in {token!r}")
     if not token.isascii():

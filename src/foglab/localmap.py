@@ -289,37 +289,20 @@ def _edge_syntax(n_channels: int) -> str:
             "intensities")
 
 
-def _parse_edges(fields: list[str], linenos: list[int], n_channels: int) -> np.ndarray:
-    """Edge table of the edge records' fields (all tokens after ``edge``), in
-    one ``np.loadtxt`` call.
-
-    Values are not checked here (see :meth:`LocalMapGraph.from_edges`). A
-    wrong field count or a token that is not a number of its field's type
-    raises :class:`MapFormatError` naming the first line that holds one.
-    """
-    dtype = _edge_dtype(n_channels)
-    if not fields:
-        return np.zeros(0, dtype)           # np.loadtxt warns on empty input
-
-    def parse(chunk):
-        return np.loadtxt(chunk, dtype=dtype, ndmin=1)
-
+def _parse_edge(parts: list[str], n_channels: int, lineno: int) -> tuple:
+    """Row of ``_edge_dtype(n_channels)`` of an edge record's fields (the
+    tokens after ``edge``). Values are not checked here (see
+    :meth:`LocalMapGraph.from_edges`)."""
     try:
-        return parse(fields)
-    except ValueError:
-        pass
-    # Bisect for the first bad record. Records parse independently, so a
-    # chunk fails exactly when it holds a bad one; fields[:lo] parse and
-    # fields[lo:hi] hold a bad record.
-    lo, hi = 0, len(fields)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            parse(fields[lo:mid])
-            lo = mid
-        except ValueError:
-            hi = mid
-    raise MapFormatError(_edge_syntax(n_channels), linenos[lo])
+        if len(parts) != 3 + n_channels:
+            raise ValueError(f"{len(parts)} fields")
+        frame, landmark = (parse_number(token, int) for token in parts[:2])
+        if not (_ID_MIN <= frame <= _ID_MAX and _ID_MIN <= landmark <= _ID_MAX):
+            raise ValueError("id beyond 64 bits")
+        distance, *intensity = (parse_number(token) for token in parts[2:])
+    except ValueError as exc:
+        raise MapFormatError(_edge_syntax(n_channels), lineno) from exc
+    return frame, landmark, distance, intensity
 
 
 def _bulk_graph(lines: list[str], n_channels: int, frames, landmarks):
@@ -347,69 +330,58 @@ def _bulk_graph(lines: list[str], n_channels: int, frames, landmarks):
 def load_map(path) -> LocalMapGraph:
     """Read a ``.map`` file (docs/file_formats.md).
 
-    The header, ``frame`` and ``landmark`` records are parsed line by line.
-    From the first ``edge`` record on, the rest of the file is parsed in one
-    ``np.loadtxt`` call when it holds only valid edge records, as every
-    file :func:`save_map` writes does. Otherwise the line loop carries on
-    over the rest too and raises :class:`MapFormatError` with the line of
-    the first bad record.
+    One loop reads the records in order and raises :class:`MapFormatError`
+    with the line of the first bad one; edge values are checked after it,
+    over the whole table. At the first ``edge`` record the rest of the file
+    is first tried in one ``np.loadtxt`` call, which gives the graph when it
+    holds only valid edge records, as every file :func:`save_map` writes does.
     """
     source = read_ascii(path)
     lines = source.split("\n")
 
     header = None
     frames, landmarks = {}, {}
-    edge_fields, edge_lines = [], []
+    rows, row_lines = [], []
     graph = None
-    try:
-        for lineno, raw in enumerate(lines, start=1):
-            text = raw.split("#", 1)[0]
-            record = text.split(None, 1)
-            if not record:
-                continue
-            if record[0] == "edge" and len(record) == 2 and header is not None:
-                # numpy's fixed-width strings drop a NUL that ends a keyword
-                if not edge_fields and "\0" not in source:
-                    graph = _bulk_graph(lines[lineno - 1:], nc, frames, landmarks)
-                    if graph is not None:
-                        break
-                edge_fields.append(record[1])
-                edge_lines.append(lineno)
-                continue
-            kind, *parts = text.split()
-            if header is None:
-                if kind != "localmap" or len(parts) != 4:
-                    raise MapFormatError("expected header: localmap F K E C", lineno)
-                nf, nk, ne, nc = _numbers(parts, int, "header count", lineno)
-                if nc not in (1, 3):
-                    raise MapFormatError("channel count must be 1 or 3", lineno)
-                header = (nf, nk, ne)
-            elif kind == "edge":
-                raise MapFormatError(_edge_syntax(nc), lineno)
-            elif kind in ("frame", "landmark"):
-                if not parts:
-                    raise MapFormatError(f"{kind} takes an id", lineno)
-                table = frames if kind == "frame" else landmarks
-                key = _parse_id(parts[0], kind, lineno)
-                position = _parse_position(parts[1:], lineno)
-                if key in table:
-                    raise MapFormatError(f"repeated {kind} {key}", lineno)
-                table[key] = position
-            else:
-                raise MapFormatError(f"unknown record {kind!r}", lineno)
-    except MapFormatError:
-        if header is not None:
-            # a bad record on an earlier edge line is reported first
-            _parse_edges(edge_fields, edge_lines, nc)
-        raise
+    for lineno, raw in enumerate(lines, start=1):
+        record = raw.split("#", 1)[0].split()
+        if not record:
+            continue
+        kind, *parts = record
+        if header is None:
+            if kind != "localmap" or len(parts) != 4:
+                raise MapFormatError("expected header: localmap F K E C", lineno)
+            nf, nk, ne, nc = _numbers(parts, int, "header count", lineno)
+            if nc not in (1, 3):
+                raise MapFormatError("channel count must be 1 or 3", lineno)
+            header = (nf, nk, ne)
+        elif kind == "edge":
+            # numpy's fixed-width strings drop a NUL that ends a keyword
+            if not rows and "\0" not in source:
+                graph = _bulk_graph(lines[lineno - 1:], nc, frames, landmarks)
+                if graph is not None:
+                    break
+            rows.append(_parse_edge(parts, nc, lineno))
+            row_lines.append(lineno)
+        elif kind in ("frame", "landmark"):
+            if not parts:
+                raise MapFormatError(f"{kind} takes an id", lineno)
+            table = frames if kind == "frame" else landmarks
+            key = _parse_id(parts[0], kind, lineno)
+            position = _parse_position(parts[1:], lineno)
+            if key in table:
+                raise MapFormatError(f"repeated {kind} {key}", lineno)
+            table[key] = position
+        else:
+            raise MapFormatError(f"unknown record {kind!r}", lineno)
     if header is None:
         raise MapFormatError("empty file: missing localmap header")
     if graph is None:
-        edges = _parse_edges(edge_fields, edge_lines, nc)
         try:
-            graph = LocalMapGraph._from_table(edges, frames, landmarks)
+            graph = LocalMapGraph._from_table(np.array(rows, _edge_dtype(nc)),
+                                              frames, landmarks)
         except EdgeError as exc:
-            raise MapFormatError(str(exc), edge_lines[exc.row]) from exc
+            raise MapFormatError(str(exc), row_lines[exc.row]) from exc
     counts = (len(graph.frames), len(graph.landmarks), len(graph.edges))
     if counts != header:
         raise MapFormatError(

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from foglab.baselines import (HistogramConfig, dark_channel, dump_histogram,
-                              estimate_a_modified, estimate_a_original,
+from foglab.baselines import (HistogramConfig, _top_dark_pixels, dark_channel,
+                              dump_histogram, estimate_a_modified, estimate_a_original,
                               estimate_beta_histogram, pairwise_betas)
 from foglab.errors import NotEnoughDataError
 from foglab.localmap import Observation, ObservationSet
@@ -94,6 +94,18 @@ def test_a_color_image_gives_per_channel_values():
 
 
 # --- pairwise beta ----------------------------------------------------------------
+
+
+def test_top_dark_pixels_break_ties_by_flat_index():
+    # 3000 pixels: the top 0.1 % are 3; channel 1 tags each pixel
+    image = np.full((50, 60, 3), 10.0)
+    tied = [2999, 7, 1500, 123, 42]
+    for tag, k in enumerate([2500, *tied]):
+        image.reshape(-1, 3)[k] = (220.0 if k == 2500 else 200.0, 230.0 + tag, 240.0)
+    picked = _top_dark_pixels(image, radius=0)
+    # the darkest value first, then the tied pixels in flat index order
+    assert picked[:, 1].tolist() == [230.0, 232.0, 235.0]
+
 
 def test_pairwise_beta_exact_on_noiseless_model():
     a, beta, j = 200.0, 0.1, 50.0

@@ -387,6 +387,23 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, config, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, text", [
+    (["fit-gamma", "--out", "out.gamma", "--csv"],
+     "channel,intensity,power\ngray,10,1\n# café\ngray,30,3\n"),
+    (["metrics", "--csv"], "estimate,truth\r\n11.0,10.0\r\n# café\r\n9.0,10.0\r\n"),
+    (["simulate", "--out", "out.map", "--config"],
+     '{"n_landmarks": 17,\n "noise": {"std": 0.0},\n "café": 1}\n')],
+    ids=["fit-gamma", "metrics", "simulate-config"])
+def test_text_inputs_name_the_line_of_a_byte_that_is_not_ascii(tmp_path, monkeypatch, capsys,
+                                                                command, text):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert run(*command, path) == 1
+    assert capsys.readouterr().err == "error: line 3: byte 0xc3 is not ASCII\n"
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_estimate_on_a_map_without_frames_fails(tmp_path, capsys):
     path = tmp_path / "empty.map"
     path.write_text("localmap 0 0 0 1\n")

@@ -391,16 +391,47 @@ def test_load_matches_the_line_by_line_reference(tmp_path, n_channels):
         assert_same_graph(loaded, graph)
 
 
-@pytest.mark.parametrize("id_token, number", [
+SPELLINGS = [
     ("5", "5"), ("+5", "+5"), ("05", "05"), ("-0", ".5"), ("5", "5."),
     ("5", "+.5e+1"), ("5", "1E1"), ("5", "1e-320"), ("5", "4.9e-324"),
     ("-9223372036854775808", "0.1000000000000000055511151231257827"),
-    ("9223372036854775807", "1.7976931348623157e308")])
+    ("9223372036854775807", "1.7976931348623157e308")]
+
+
+@pytest.mark.parametrize("id_token, number", SPELLINGS)
 def test_number_spellings_match_python(tmp_path, id_token, number):
     path = tmp_path / "map.txt"
     path.write_text(f"localmap 1 1 1 1\nframe {id_token} {number} 0 {number}\n"
                     f"landmark {id_token}\nedge {id_token} {id_token} {number} 1\n")
     assert_same_graph(load_map(path), reference_load(path))
+
+
+@pytest.mark.parametrize("id_token, number", SPELLINGS)
+def test_number_spellings_match_python_in_the_line_loop(tmp_path, monkeypatch, id_token,
+                                                        number):
+    monkeypatch.setattr(localmap, "_bulk_graph", lambda *args: None)
+    test_number_spellings_match_python(tmp_path, id_token, number)
+
+
+@pytest.mark.parametrize("edge", [
+    *(f"edge 5 {token} 5.0 1" for token in ("1.0", "1e5", "0x10", "9223372036854775808")),
+    *(f"edge 5 5 {token} 1" for token in ("nan(1)", "1d5", "0x1p3", ".", "5e", "1_0")),
+    *(f"edge 5 5 5.0 {token}" for token in ("nan(1)", "1d5", "0x1p3", ".", "5e", "1_0"))])
+@pytest.mark.parametrize("bulk", [True, False], ids=["bulk", "line-loop"])
+def test_both_edge_paths_refuse_the_same_spellings(tmp_path, monkeypatch, edge, bulk):
+    path = tmp_path / "map.txt"
+    path.write_text(f"localmap 1 1 1 1\nframe 5\nlandmark 5\n{edge}\n")
+    bulk_graph, bulk_results = localmap._bulk_graph, []
+
+    def recorded(*args):
+        bulk_results.append(bulk_graph(*args) if bulk else None)
+        return bulk_results[-1]
+
+    monkeypatch.setattr(localmap, "_bulk_graph", recorded)
+    with pytest.raises(MapFormatError, match="^line 4: edge takes integer frame and "
+                                             "landmark ids, a distance and 1 intensities$"):
+        load_map(path)
+    assert bulk_results == [None]
 
 
 GRAY_HEAD = "localmap 2 2 4 1\nframe 0\nframe 1\nlandmark 7\nlandmark 9\n"
