@@ -134,8 +134,13 @@ def estimate_beta_histogram(obs: ObservationSet, a: float,
         values = values[(values >= lo) & (values <= hi)]
     if values.size == 0:
         raise NotEnoughDataError("no valid observation pairs for the beta histogram")
-    # bins anchored at zero: value v lands in bin floor(v / width)
-    bins = np.floor(values / config.bin_width).astype(int)
+    # bins anchored at zero: value v lands in bin floor(v / width), kept a
+    # float so that a tiny width cannot overflow an integer cast
+    with np.errstate(over="ignore"):
+        bins = np.floor(values / config.bin_width)
+    if not np.all(np.isfinite(bins)):
+        raise ValueError(f"bin_width {config.bin_width!r} is too small: a beta value "
+                         "over it is not finite")
     uniq, counts = np.unique(bins, return_counts=True)
     best = uniq[np.argmax(counts)]  # np.argmax takes the first (lowest bin) on ties
     centers = (uniq + 0.5) * config.bin_width

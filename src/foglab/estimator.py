@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateDataError, MapFormatError, NotEnoughDataError, parse_number
-from .localmap import ObservationSet, sort_pairs
+from .localmap import DEFAULT_XI_F, ObservationSet, sort_pairs
 from .optimizer import ResidualProblem, SolveReport, solve
 from .photometry import GammaMap, check_channel, compress, expand
 from .scattering import visibility_from_beta
@@ -36,7 +36,7 @@ DEFAULT_BETA_INIT = 0.014
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    xi_f: int = 4                       # min frames per landmark
+    xi_f: int = DEFAULT_XI_F            # min frames per landmark
     xi_k: int = 15                      # min qualifying landmarks per estimate
     eta: float = 2.0                    # intensity-per-meter slope threshold
     delta: float = 5.0                  # Huber width, in intensity levels

@@ -26,6 +26,9 @@ from .errors import MapFormatError, parse_number, read_ascii
 from .photometry import CHANNEL_NAMES, GammaMap, check_channel, expand
 from .scattering import luma
 
+DEFAULT_XI_F = 4                    # min frames per landmark; EstimatorConfig's default
+_ID_MIN, _ID_MAX = -2 ** 63, 2 ** 63 - 1         # np.int64's range
+
 
 class Observation(NamedTuple):
     frame: int
@@ -214,7 +217,7 @@ class ObservationSet:
 
 
 def generate_dr_pairs(graph: LocalMapGraph, gmap: GammaMap, channel: str = "gray",
-                      xi_f: int = 4) -> ObservationSet:
+                      xi_f: int = DEFAULT_XI_F) -> ObservationSet:
     """Expand one channel of the graph into per-landmark (d, L) observations.
 
     Landmarks seen from fewer than ``xi_f`` frames are dropped. Intensities
@@ -263,30 +266,22 @@ def _numbers(tokens: list[str], convert, what: str, lineno: int) -> list:
         raise MapFormatError(f"bad {what}: {exc}", lineno) from exc
 
 
-def _parse_position(parts: list[str], lineno: int):
+def _parse_node(kind: str, parts: list[str], lineno: int) -> tuple:
+    """(id, position or None) of a ``frame`` or ``landmark`` record's fields
+    (the tokens after ``kind``)."""
     if not parts:
-        return None
-    if len(parts) != 3:
+        raise MapFormatError(f"{kind} takes an id", lineno)
+    [key] = _numbers(parts[:1], int, f"{kind} id", lineno)
+    if not _ID_MIN <= key <= _ID_MAX:
+        raise MapFormatError(f"id {key} does not fit in 64 bits", lineno)
+    if len(parts) == 1:
+        return key, None
+    if len(parts) != 4:
         raise MapFormatError("positions take exactly 3 coordinates", lineno)
-    position = tuple(_numbers(parts, float, "coordinate", lineno))
+    position = tuple(_numbers(parts[1:], float, "coordinate", lineno))
     if not all(map(math.isfinite, position)):
         raise MapFormatError("coordinates must be finite", lineno)
-    return position
-
-
-_ID_MIN, _ID_MAX = -2 ** 63, 2 ** 63 - 1         # np.int64's range
-
-
-def _parse_id(token: str, kind: str, lineno: int) -> int:
-    [value] = _numbers([token], int, f"{kind} id", lineno)
-    if not _ID_MIN <= value <= _ID_MAX:
-        raise MapFormatError(f"id {value} does not fit in 64 bits", lineno)
-    return value
-
-
-def _edge_syntax(n_channels: int) -> str:
-    return (f"edge takes integer frame and landmark ids, a distance and {n_channels} "
-            "intensities")
+    return key, position
 
 
 def _parse_edge(parts: list[str], n_channels: int, lineno: int) -> tuple:
@@ -301,7 +296,8 @@ def _parse_edge(parts: list[str], n_channels: int, lineno: int) -> tuple:
             raise ValueError("id beyond 64 bits")
         distance, *intensity = (parse_number(token) for token in parts[2:])
     except ValueError as exc:
-        raise MapFormatError(_edge_syntax(n_channels), lineno) from exc
+        raise MapFormatError(f"edge takes integer frame and landmark ids, a distance and "
+                             f"{n_channels} intensities", lineno) from exc
     return frame, landmark, distance, intensity
 
 
@@ -318,11 +314,9 @@ def _bulk_graph(lines: list[str], n_channels: int, frames, landmarks):
         return None
     if not np.all(rows["kind"] == "edge"):
         return None
-    table = np.empty(rows.size, edge_dtype)
-    for name in edge_dtype.names:
-        table[name] = rows[name]
     try:
-        return LocalMapGraph._from_table(table, frames, landmarks)
+        return LocalMapGraph._from_table(rows[list(edge_dtype.names)].astype(edge_dtype),
+                                         frames, landmarks)
     except EdgeError:
         return None
 
@@ -364,11 +358,8 @@ def load_map(path) -> LocalMapGraph:
             rows.append(_parse_edge(parts, nc, lineno))
             row_lines.append(lineno)
         elif kind in ("frame", "landmark"):
-            if not parts:
-                raise MapFormatError(f"{kind} takes an id", lineno)
             table = frames if kind == "frame" else landmarks
-            key = _parse_id(parts[0], kind, lineno)
-            position = _parse_position(parts[1:], lineno)
+            key, position = _parse_node(kind, parts, lineno)
             if key in table:
                 raise MapFormatError(f"repeated {kind} {key}", lineno)
             table[key] = position

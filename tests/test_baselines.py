@@ -220,6 +220,28 @@ def test_histogram_tie_resolves_to_lower_bin():
     assert est == pytest.approx(0.0555)
 
 
+def test_histogram_bins_narrower_than_an_int64_can_count():
+    # a beta of 0.06 lies 6e298 bins of 1e-300 from zero, far beyond 2**63:
+    # the bins stay floats, each value gets its own, the lower of a tie wins
+    a = 200.0
+    obs = obs_set({0: [(10.0, intensity(50.0, a, 0.0552, 10.0)),
+                       (90.0, intensity(50.0, a, 0.0552, 90.0))],
+                   1: [(10.0, intensity(50.0, a, 0.0718, 10.0)),
+                       (90.0, intensity(50.0, a, 0.0718, 90.0))]})
+    est, (centers, counts) = estimate_beta_histogram(obs, a, HistogramConfig(bin_width=1e-300))
+    assert est == pytest.approx(0.0552) and est > 0
+    assert centers == pytest.approx([0.0552, 0.0718]) and counts.tolist() == [1, 1]
+
+
+def test_histogram_refuses_a_bin_width_no_value_can_be_divided_by():
+    a = 200.0
+    obs = obs_set({0: [(10.0, intensity(50.0, a, 0.0552, 10.0)),
+                       (90.0, intensity(50.0, a, 0.0552, 90.0))]})
+    # a subnormal width: v / width overflows to inf, and no warning is raised
+    with pytest.raises(ValueError, match="^bin_width 1e-320 is too small"):
+        estimate_beta_histogram(obs, a, HistogramConfig(bin_width=1e-320))
+
+
 def test_bounded_histogram_discards_out_of_range():
     a = 200.0
     def pair_for(beta, d1, d2):

@@ -63,12 +63,6 @@ def test_smoke_run_of_every_other_workload(workload):
     assert SHA256.fullmatch(line["observations"])
 
 
-def test_a_checkout_without_the_package_is_refused(tmp_path):
-    proc = run_tool(tmp_path, "trials", 1, 1)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "no foglab package" in proc.stderr
-
-
 def test_the_observation_digest_covers_every_column_of_every_set():
     spec = importlib.util.spec_from_file_location("beta_bits", TOOL)
     tool = importlib.util.module_from_spec(spec)

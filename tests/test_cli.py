@@ -187,6 +187,17 @@ def test_baseline_with_explicit_a(tmp_path, capsys):
     assert beta == pytest.approx(truth["beta"], abs=0.001)
 
 
+def test_baseline_with_a_bin_width_beyond_int64_bins(tmp_path, capsys):
+    map_path, truth = make_map(tmp_path)
+    capsys.readouterr()                      # drop the simulate chatter
+    assert run("baseline", "--map", map_path, "--a", 204.0, "--bin-width", 1e-300) == 0
+    line = capsys.readouterr().out.strip()
+    beta = float(line.split("beta=")[1].split()[0])
+    assert beta == pytest.approx(truth["beta"], rel=1e-9)
+    assert run("baseline", "--map", map_path, "--a", 204.0, "--bin-width", 1e-320) == 1
+    assert "error: bin_width 1e-320 is too small" in capsys.readouterr().err
+
+
 def test_baseline_without_inverse_depth_gap_skips_equal_distances(tmp_path, capsys):
     # two sightings at 50 m: with --tau 0 their pair would divide by zero
     map_path = tmp_path / "m.map"

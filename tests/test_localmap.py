@@ -288,7 +288,9 @@ def test_load_reports_line_numbers(tmp_path):
             ("frame 0 4 5 6", "repeated frame 0"),
             ("landmark 3", "repeated landmark 3"),
             ("frame 0 nan 0 0", "coordinates must be finite"),
-            ("landmark 3 0 inf 0", "coordinates must be finite")]:
+            ("landmark 3 0 inf 0", "coordinates must be finite"),
+            ("frame 0 1 2", "positions take exactly 3 coordinates"),
+            ("landmark 3 1 2 3 4", "positions take exactly 3 coordinates")]:
         path.write_text(f"{HEAD_OF_BAD_MAP}# a comment\n{bad_line}\nedge 1 3 4.0 300\n")
         with pytest.raises(MapFormatError, match=f"^line 6: .*{message}"):
             load_map(path)

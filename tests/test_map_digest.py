@@ -30,9 +30,3 @@ def test_smoke_run_prints_one_line_per_mutation_and_repeats_exactly():
     assert all(re.match("line [0-9]+: |header promises |empty file", error)
                for error in errors)
     assert run_tool(ROOT, 2, 50).stdout != runs[0].stdout
-
-
-def test_a_checkout_without_the_package_is_refused(tmp_path):
-    proc = run_tool(tmp_path, 1, 1)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "no foglab package" in proc.stderr

@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -94,17 +93,8 @@ def observation_digest(inputs: list) -> str:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    src = (args.checkout / "src").resolve()
-    if not (src / "foglab").is_dir():
-        print(f"no foglab package under {src}", file=sys.stderr)
-        return 2
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"               # before numpy is imported
-    sys.path[:0] = [str(src), str(PERFBENCH)]
-    sys.dont_write_bytecode = True          # leave no __pycache__ in perfbench/
-    import foglab
-    if Path(foglab.__file__).resolve().parent != src / "foglab":
-        print(f"foglab was imported from {foglab.__file__}, not {src}", file=sys.stderr)
+    from checkout import import_foglab
+    if not import_foglab(args.checkout, PERFBENCH):
         return 2
     import workloads
 

@@ -29,8 +29,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 MAP = """\
 # three frames, four landmarks
 localmap 3 4 9 1
@@ -99,15 +97,10 @@ def graph_digest(graph) -> str:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    src = (args.checkout / "src").resolve()
-    if not (src / "foglab").is_dir():
-        print(f"no foglab package under {src}", file=sys.stderr)
+    from checkout import import_foglab
+    if not import_foglab(args.checkout):
         return 2
-    sys.path.insert(0, str(src))
-    import foglab
-    if Path(foglab.__file__).resolve().parent != src / "foglab":
-        print(f"foglab was imported from {foglab.__file__}, not {src}", file=sys.stderr)
-        return 2
+    import numpy as np
     from foglab.errors import MapFormatError
     from foglab.localmap import load_map
 

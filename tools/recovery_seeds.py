@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -76,16 +75,8 @@ def bootstrap_interval(diffs, rng, resamples: int = BOOTSTRAP_RESAMPLES):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    src = (args.checkout / "src").resolve()
-    if not (src / "foglab").is_dir():
-        print(f"no foglab package under {src}", file=sys.stderr)
-        return 2
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"               # before numpy is imported
-    sys.path[:0] = [str(src)]
-    import foglab
-    if Path(foglab.__file__).resolve().parent != src / "foglab":
-        print(f"foglab was imported from {foglab.__file__}, not {src}", file=sys.stderr)
+    from checkout import import_foglab
+    if not import_foglab(args.checkout):
         return 2
     import numpy as np
     from foglab.harness import RecoveryConfig, run_recovery_suite
