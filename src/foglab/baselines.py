@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NotEnoughDataError
 from .estimator import DEFAULT_BETA_BOUNDS
@@ -49,15 +50,11 @@ class HistogramConfig:
 
 def _min_filter(a: np.ndarray, radius: int) -> np.ndarray:
     """Square min filter with edge clamping (separable)."""
-    if radius == 0:
-        return a.copy()
     for axis in (0, 1):
         pad = [(0, 0), (0, 0)]
         pad[axis] = (radius, radius)
-        padded = np.pad(a, pad, mode="edge")
-        shifted = [np.take(padded, np.arange(k, k + a.shape[axis]), axis=axis)
-                   for k in range(2 * radius + 1)]
-        a = np.minimum.reduce(shifted)
+        a = sliding_window_view(np.pad(a, pad, mode="edge"), 2 * radius + 1,
+                                axis=axis).min(axis=-1)
     return a
 
 
@@ -70,6 +67,8 @@ def dark_channel(image: np.ndarray, radius: int = DARK_CHANNEL_RADIUS) -> np.nda
         raise ValueError("image must be HxW or HxWx3")
     if radius < 0:
         raise ValueError("radius must be non-negative")
+    if image.size == 0:
+        raise ValueError("image must not be empty")
     return _min_filter(image, radius)
 
 

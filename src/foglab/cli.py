@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import fields, replace
 
@@ -24,8 +25,9 @@ from .metrics import compute_metrics
 from .photometry import (CHANNEL_NAMES, CalibrationSeries, ChannelGammaMaps, GammaMap,
                          check_channel, fit_gamma_map, load_gamma_file, save_gamma_file)
 from .rasters import read_distance_map, read_image, write_image
-from .scattering import (IntensityFogParams, beta_from_visibility, luma,
-                         quantize_to_u8, synthesize_fog_image, visibility_from_beta)
+from .scattering import (IntensityFogParams, beta_from_visibility,
+                         check_atmospheric_intensity, luma, quantize_to_u8,
+                         synthesize_fog_image, visibility_from_beta)
 
 
 def number(token: str) -> float:
@@ -45,10 +47,16 @@ def _load_gamma(spec: str) -> ChannelGammaMaps:
     return load_gamma_file(spec)
 
 
-def _fog_beta(args) -> float:
-    if args.beta is not None:
-        return args.beta
-    return beta_from_visibility(args.visibility)
+def _add_fog_flags(p: argparse.ArgumentParser) -> None:
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--beta", type=number)
+    g.add_argument("--visibility", type=number, default=50.0)
+    p.add_argument("--a", type=number, default=harness.A_INTENSITY)
+
+
+def _fog(args) -> IntensityFogParams:
+    beta = args.beta if args.beta is not None else beta_from_visibility(args.visibility)
+    return IntensityFogParams(beta, args.a)
 
 
 def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
@@ -124,8 +132,7 @@ def _cmd_simulate(args) -> int:
                                 for k, v in cfg.items() if k != "noise"})
         noise = replace(noise, **{k: _config_value(k, v, getattr(noise, k))
                                   for k, v in noise_cfg.items()})
-    fog = IntensityFogParams(_fog_beta(args), args.a)
-    graph, truth = simulator.generate_scene(spec, fog, None, noise)
+    graph, truth = simulator.generate_scene(spec, _fog(args), None, noise)
     save_map(graph, args.out)
     if args.truth_out:
         with open(args.truth_out, "w", encoding="ascii") as fh:
@@ -170,7 +177,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    a = args.a
+    a = args.a if args.a is None else check_atmospheric_intensity(args.a)
     if args.image is not None:
         image = read_image(args.image)
         a_orig = baselines.estimate_a_original(image, args.radius)
@@ -226,15 +233,22 @@ def _cmd_fit_gamma(args) -> int:
 def _cmd_synthesize_fog(args) -> int:
     clear = read_image(args.clear)
     distances = read_distance_map(args.distances)
-    fog = IntensityFogParams(_fog_beta(args), args.a)
-    foggy = synthesize_fog_image(clear.astype(float), distances, fog)
+    foggy = synthesize_fog_image(clear.astype(float), distances, _fog(args))
     write_image(args.out, quantize_to_u8(foggy))
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_gamma_bias(args) -> int:
-    alpha = args.alpha if args.alpha is not None else 255.0 ** (1.0 - args.gamma_exponent)
+    alpha = args.alpha
+    if alpha is None:
+        try:
+            alpha = 255.0 ** (1.0 - args.gamma_exponent)    # expand(255) = 255
+        except OverflowError:
+            alpha = math.inf
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"--gamma-exponent {args.gamma_exponent} gives no positive "
+                             "finite default alpha; pass --alpha")
     gmap = GammaMap(alpha, args.gamma_exponent, args.zeta)
     noise = simulator.NoiseSpec(std=args.noise_std, seed=args.seed,
                                 quantize=False, domain=args.noise_domain)
@@ -318,10 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-min", type=number, default=scene.start_distance_range[0])
     p.add_argument("--start-max", type=number, default=scene.start_distance_range[1])
     p.add_argument("--spacing", type=number, default=scene.frame_spacing)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--beta", type=number)
-    g.add_argument("--visibility", type=number, default=50.0)
-    p.add_argument("--a", type=number, default=204.0)
+    _add_fog_flags(p)
     p.add_argument("--noise-std", type=number, default=noise.std)
     p.add_argument("--no-quantize", action="store_true")
     p.add_argument("--seed", type=integer, default=noise.seed)
@@ -356,10 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize-fog", help="render fog onto a clear image")
     p.add_argument("--clear", required=True)
     p.add_argument("--distances", required=True)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--beta", type=number)
-    g.add_argument("--visibility", type=number, default=50.0)
-    p.add_argument("--a", type=number, default=204.0)
+    _add_fog_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synthesize_fog)
 

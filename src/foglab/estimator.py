@@ -51,8 +51,9 @@ class EstimatorConfig:
             raise ValueError("xi_k must be at least 1")
         if not (0 < self.beta_bounds[0] < self.beta_bounds[1]):
             raise ValueError("beta bounds must satisfy 0 < lower < upper")
-        if not 0 < self.delta < math.inf:
-            raise ValueError("delta must be positive and finite")
+        if not 0 < self.delta <= 255:
+            # the Huber width is expanded across the middle of [0, 255]
+            raise ValueError(f"delta must lie in (0, 255] intensity levels, got {self.delta}")
         if not self.eta > 0:
             raise ValueError("eta must be positive")
 
@@ -77,7 +78,9 @@ class EstimatorState:
     """Carried across sequential updates by one caller: ``previous``, the
     last estimate, and ``inlier_counts``, an array of ``INLIER_COUNT_DTYPE``
     with one row per sighting (``frame``, ``landmark``) that was a stage-1
-    inlier and ``count``, in how many updates; unique, sorted by the pair."""
+    inlier and ``count``, in how many updates; unique, sorted by the pair.
+    It holds only sightings of the frames the last update observed, not
+    those of every frame of the stream."""
 
     previous: Optional[FogEstimate] = None
     inlier_counts: np.ndarray = field(
@@ -189,24 +192,21 @@ def compute_weights(obs: ObservationSet, x: np.ndarray, counts: np.ndarray) -> n
 
 
 def _join_inlier_counts(table: np.ndarray, obs: ObservationSet):
-    """``(pairs, row_pair, current)``: every (frame, landmark) pair of
-    ``table`` or ``obs`` once, sorted, with its count in ``table`` (0 if
-    absent); the index into ``pairs`` of each row of ``obs``; and which
-    pairs have their frame in ``obs``. One sort of both serves the join."""
+    """``(pairs, row_pair)``: every (frame, landmark) pair of ``obs``, and
+    every pair of ``table`` whose frame is in ``obs``, once, sorted, with its
+    count in ``table`` (0 if absent); and the index into ``pairs`` of each
+    row of ``obs``. One sort of both serves the join."""
+    table = table[np.isin(table["frame"], obs.frame)]
     frame = np.concatenate((table["frame"], obs.frame))
     landmark = np.concatenate((table["landmark"], obs.landmark))
-    order, same_frame, same_pair = sort_pairs(frame, landmark)
+    order, _, same_pair = sort_pairs(frame, landmark)
     first = ~same_pair
     pair_of = np.empty(frame.size, dtype=np.intp)
     pair_of[order] = first.cumsum() - 1
     pairs = np.zeros(np.count_nonzero(first), INLIER_COUNT_DTYPE)
     pairs["frame"], pairs["landmark"] = frame[order][first], landmark[order][first]
     pairs["count"][pair_of[:table.size]] = table["count"]
-    row_pair = pair_of[table.size:]
-    frame_rank = ((~same_frame).cumsum() - 1)[first]   # of each pair's frame
-    current = np.zeros(pairs.size, dtype=bool)
-    current[frame_rank[row_pair]] = True               # frames with observation rows
-    return pairs, row_pair, current[frame_rank]
+    return pairs, pair_of[table.size:]
 
 
 def huber_delta_radiance(gmap: GammaMap, delta_intensity: float) -> float:
@@ -284,7 +284,7 @@ def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
 
     bounds = derive_bounds(obs, gmap, config.eta, config.beta_bounds)
     x0 = initialize(obs, state, bounds)
-    pairs, row_pair, current = _join_inlier_counts(state.inlier_counts, obs)
+    pairs, row_pair = _join_inlier_counts(state.inlier_counts, obs)
     # the confidence weights read the contrasts of the start vector: the
     # previous estimate where available, this update's initialization otherwise
     if config.uniform_weights:
@@ -301,7 +301,7 @@ def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
     inlier = np.abs(stage1.residuals) <= delta_l
     # bincount, not fancy +=, so a pair with two inlier rows counts twice
     pairs["count"] += np.bincount(row_pair[inlier], minlength=pairs.size)
-    state.inlier_counts = pairs[current & (pairs["count"] > 0)]
+    state.inlier_counts = pairs[pairs["count"] > 0]
 
     stage2 = None
     degraded = False

@@ -61,8 +61,15 @@ class IntensityFogParams:
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not (0.0 <= self.a <= 255.0):
-            raise ValueError(f"atmospheric intensity must lie in [0, 255], got {self.a}")
+        check_atmospheric_intensity(self.a)
+
+
+def check_atmospheric_intensity(a: float) -> float:
+    """``a`` if it is an 8-bit atmospheric intensity, in [0, 255];
+    ValueError otherwise."""
+    if not (0.0 <= a <= 255.0):
+        raise ValueError(f"atmospheric intensity must lie in [0, 255], got {a}")
+    return a
 
 
 def _check_distance(d) -> np.ndarray:

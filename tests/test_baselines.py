@@ -46,11 +46,29 @@ def test_dark_channel_min_filter_dilates_dark_pixel():
     assert dc[0, 0] == 200.0
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (64, 96)])
+@pytest.mark.parametrize("radius", range(5))
+def test_dark_channel_is_the_clamped_window_minimum(shape, radius):
+    image = np.random.default_rng(radius).integers(0, 256, shape + (3,)).astype(float)
+    gray = image.min(axis=2)
+    h, w = shape
+    expected = np.empty(shape)
+    for y in range(h):
+        for x in range(w):
+            # the window is clamped to the image: the border pixels repeat
+            expected[y, x] = gray[max(y - radius, 0):y + radius + 1,
+                                  max(x - radius, 0):x + radius + 1].min()
+    assert np.array_equal(dark_channel(image, radius), expected)
+
+
 def test_dark_channel_validation():
     with pytest.raises(ValueError):
         dark_channel(np.zeros(5))
     with pytest.raises(ValueError):
         dark_channel(np.zeros((5, 5)), radius=-1)
+    for shape in [(0, 4), (3, 0)]:
+        with pytest.raises(ValueError, match="^image must not be empty$"):
+            dark_channel(np.zeros(shape), radius=0)
 
 
 def test_a_estimators_on_uniform_image():

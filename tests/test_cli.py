@@ -72,7 +72,9 @@ def test_estimate_rejects_thresholds_before_reading_the_map(tmp_path, capsys):
                                  ("--xi-k", 0, "xi_k must be at least 1"),
                                  ("--update-gate", -1.0, gate),
                                  ("--update-gate", "nan", gate),
-                                 ("--update-gate", "inf", gate)]:
+                                 ("--update-gate", "inf", gate),
+                                 ("--delta", 300,
+                                  "delta must lie in (0, 255] intensity levels, got 300.0")]:
         assert run("estimate", flag, value, missing) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -185,6 +187,16 @@ def test_baseline_with_explicit_a(tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     beta = float(line.split("beta=")[1].split()[0])
     assert beta == pytest.approx(truth["beta"], abs=0.001)
+
+
+@pytest.mark.parametrize("a", ["300", "-1", "nan"])
+def test_baseline_refuses_an_atmospheric_intensity_outside_8_bits(tmp_path, capsys, a):
+    map_path, _ = make_map(tmp_path)
+    capsys.readouterr()                      # drop the simulate chatter
+    assert run("baseline", "--map", map_path, "--a", a) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: atmospheric intensity must lie in [0, 255], got {float(a)}\n"
 
 
 def test_baseline_with_a_bin_width_beyond_int64_bins(tmp_path, capsys):
@@ -347,6 +359,15 @@ def test_experiment_gamma_bias(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "trial,beta_radiance,beta_intensity"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("gamma", ["-400", "400"])
+def test_gamma_bias_refuses_an_exponent_without_a_default_alpha(capsys, gamma):
+    # 255 ** (1 - gamma) overflows at -400 and underflows to 0 at 400
+    assert run("experiment", "gamma-bias", "--trials", 3, "--gamma-exponent", gamma) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "--gamma-exponent" in err and "--alpha" in err
 
 
 def test_experiment_histogram(tmp_path, capsys):

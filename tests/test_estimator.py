@@ -158,11 +158,11 @@ def test_confidence_weights():
     obs = obs_set({0: [(10.0, 50.0), (60.0, 120.0)],
                    1: [(12.0, 90.0), (55.0, 140.0)]})
     x = np.array([0.02, 210.0, 110.0, 170.0])     # [beta, l_inf, lc0, lc1]
-    # frame 0 of landmark 0 was an inlier 3 times; frame 7 is not in obs
+    # frame 0 of landmark 0 was an inlier 3 times; frame 7 is not in obs, so
+    # its row is pruned before the join
     table = np.array([(0, 0, 3), (7, 1, 5)], INLIER_COUNT_DTYPE)
-    pairs, row_pair, current = _join_inlier_counts(table, obs)
-    assert pairs.tolist() == [(0, 0, 3), (0, 1, 0), (1, 0, 0), (1, 1, 0), (7, 1, 5)]
-    assert current.tolist() == [True, True, True, True, False]
+    pairs, row_pair = _join_inlier_counts(table, obs)
+    assert pairs.tolist() == [(0, 0, 3), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
     w = compute_weights(obs, x, pairs["count"][row_pair])
     # rows: (frame 0, landmark 0), (frame 1, landmark 0), (frame 0, landmark 1)...
     assert w[0] == pytest.approx(100.0 * 4)        # contrast 100, count 3
@@ -434,6 +434,9 @@ def test_config_validation():
         EstimatorConfig(delta=math.nan)
     with pytest.raises(ValueError):
         EstimatorConfig(delta=math.inf)
+    assert EstimatorConfig(delta=255.0).delta == 255.0
+    with pytest.raises(ValueError, match=r"^delta must lie in \(0, 255\]"):
+        EstimatorConfig(delta=255.5)
 
 
 # --- estimate records -------------------------------------------------------------

@@ -9,7 +9,8 @@ workload code is this repository's ``perfbench/workloads.py``, so two
 checkouts run the same ops; its inputs are written to a temporary directory
 outside both trees. Prints one JSON line per op: the op index, the hex of
 every beta the op returns, each solve's (iterations, stop reason) in call
-order, and a SHA-256 digest of the observations every estimate of the op
+order, taken from the stage-1 and stage-2 reports of each estimate's result,
+and a SHA-256 digest of the observations every estimate of the op
 was given (the bytes of their ``frame``, ``landmark``, ``distance`` and
 ``radiance`` columns, in call order), so that a change to ingest is checked
 before the solver sees it. Two checkouts compute bitwise the same estimates
@@ -54,29 +55,17 @@ def replace_everywhere(function, wrapper) -> None:
             setattr(module, name, wrapper)
 
 
-def record_solves(reports: list) -> None:
-    """Wrap ``optimizer.solve`` so that each call appends its
-    ``SolveReport`` to ``reports``."""
-    from foglab import optimizer
-    solve = optimizer.solve
-
-    def recorded(*args, **kwargs):
-        report = solve(*args, **kwargs)
-        reports.append(report)
-        return report
-
-    replace_everywhere(solve, recorded)
-
-
-def record_observations(inputs: list) -> None:
+def record_estimates(inputs: list, results: list) -> None:
     """Wrap ``estimator.estimate`` so that each call appends its
-    ``ObservationSet`` to ``inputs``."""
+    ``ObservationSet`` to ``inputs``, before it runs so that an estimate that
+    raises is still digested, and its ``EstimateResult`` to ``results``."""
     from foglab import estimator
     estimate = estimator.estimate
 
     def recorded(obs, *args, **kwargs):
         inputs.append(obs)
-        return estimate(obs, *args, **kwargs)
+        results.append(estimate(obs, *args, **kwargs))
+        return results[-1]
 
     replace_everywhere(estimate, recorded)
 
@@ -98,21 +87,21 @@ def main(argv=None) -> int:
         return 2
     import workloads
 
-    reports: list = []
     inputs: list = []
-    record_solves(reports)
-    record_observations(inputs)
+    results: list = []
+    record_estimates(inputs, results)
     with tempfile.TemporaryDirectory(prefix="beta_bits-") as workdir:
         workload = workloads.WORKLOADS[args.workload](args.seed, args.smoke, workdir)
         workload.setup()
         op = workload.runner()
         for i in range(args.n):
-            reports.clear()
             inputs.clear()
+            results.clear()
             result = op(i)
             line = {"op": i, "failed": result.failed,
                     "betas": [float(b).hex() for b in result.betas],
-                    "solves": [[r.iterations, r.reason] for r in reports],
+                    "solves": [[r.iterations, r.reason] for res in results
+                               for r in (res.stage1, res.stage2) if r is not None],
                     "observations": observation_digest(inputs)}
             print(json.dumps(line), flush=True)
     return 0
