@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NotEnoughDataError
 from .estimator import DEFAULT_BETA_BOUNDS
@@ -49,13 +48,12 @@ class HistogramConfig:
 
 
 def _min_filter(a: np.ndarray, radius: int) -> np.ndarray:
-    """Square min filter with edge clamping (separable)."""
-    for axis in (0, 1):
-        pad = [(0, 0), (0, 0)]
-        pad[axis] = (radius, radius)
-        a = sliding_window_view(np.pad(a, pad, mode="edge"), 2 * radius + 1,
-                                axis=axis).min(axis=-1)
-    return a
+    """Square min filter with edge clamping (separable): the minimum over
+    the 2*radius+1 shifted slices of the edge-padded image, rows then columns."""
+    h, w = a.shape
+    padded = np.pad(a, radius, mode="edge")
+    rows = np.minimum.reduce([padded[k:k + h] for k in range(2 * radius + 1)])
+    return np.minimum.reduce([rows[:, k:k + w] for k in range(2 * radius + 1)])
 
 
 def dark_channel(image: np.ndarray, radius: int = DARK_CHANNEL_RADIUS) -> np.ndarray:
