@@ -48,12 +48,14 @@ class HistogramConfig:
 
 
 def _min_filter(a: np.ndarray, radius: int) -> np.ndarray:
-    """Square min filter with edge clamping (separable): the minimum over
-    the 2*radius+1 shifted slices of the edge-padded image, rows then columns."""
+    """Square min filter with edge clamping (separable): the minimum over the
+    shifted slices of the edge-padded image, rows then columns. Each axis's
+    radius is cut to its extent, past which a window adds nothing."""
     h, w = a.shape
-    padded = np.pad(a, radius, mode="edge")
-    rows = np.minimum.reduce([padded[k:k + h] for k in range(2 * radius + 1)])
-    return np.minimum.reduce([rows[:, k:k + w] for k in range(2 * radius + 1)])
+    ry, rx = min(radius, h - 1), min(radius, w - 1)
+    padded = np.pad(a, ((ry, ry), (rx, rx)), mode="edge")
+    rows = np.minimum.reduce([padded[k:k + h] for k in range(2 * ry + 1)])
+    return np.minimum.reduce([rows[:, k:k + w] for k in range(2 * rx + 1)])
 
 
 def dark_channel(image: np.ndarray, radius: int = DARK_CHANNEL_RADIUS) -> np.ndarray:
@@ -70,30 +72,27 @@ def dark_channel(image: np.ndarray, radius: int = DARK_CHANNEL_RADIUS) -> np.nda
     return _min_filter(image, radius)
 
 
-def _top_dark_pixels(image: np.ndarray, radius: int):
+def estimate_a(image: np.ndarray, radius: int = DARK_CHANNEL_RADIUS):
+    """Atmospheric light by the original and the modified rule, from one
+    dark-channel pass: (maximum, median) image intensity among the pixels
+    with the top-0.1% dark-channel values, per channel for a color image."""
     image = np.asarray(image, dtype=float)
-    dc = dark_channel(image, radius)
-    flat = dc.ravel()
+    flat = dark_channel(image, radius).ravel()
     count = max(1, int(round(0.001 * flat.size)))
     # stable selection: sort by (dark value desc, flat index asc)
     idx = np.argsort(-flat, kind="stable")[:count]
-    if image.ndim == 3:
-        return image.reshape(-1, image.shape[2])[idx]
-    return image.ravel()[idx]
+    vals = image.reshape(flat.size, *image.shape[2:])[idx]
+    out = (vals.max(axis=0), np.median(vals, axis=0))
+    return out if image.ndim == 3 else tuple(map(float, out))
 
 
+# perfbench's span table looks these names up; each gives one rule of estimate_a
 def estimate_a_original(image: np.ndarray, radius: int = DARK_CHANNEL_RADIUS):
-    """Maximum image intensity among the top-0.1% dark-channel pixels."""
-    vals = _top_dark_pixels(image, radius)
-    out = vals.max(axis=0)
-    return float(out) if np.ndim(out) == 0 else out
+    return estimate_a(image, radius)[0]
 
 
 def estimate_a_modified(image: np.ndarray, radius: int = DARK_CHANNEL_RADIUS):
-    """Median image intensity among the top-0.1% dark-channel pixels."""
-    vals = _top_dark_pixels(image, radius)
-    out = np.median(vals, axis=0)
-    return float(out) if np.ndim(out) == 0 else out
+    return estimate_a(image, radius)[1]
 
 
 def pairwise_betas(obs: ObservationSet, a: float,

@@ -180,8 +180,7 @@ def _cmd_baseline(args) -> int:
     a = args.a if args.a is None else check_atmospheric_intensity(args.a)
     if args.image is not None:
         image = read_image(args.image)
-        a_orig = baselines.estimate_a_original(image, args.radius)
-        a_mod = baselines.estimate_a_modified(image, args.radius)
+        a_orig, a_mod = baselines.estimate_a(image, args.radius)
         print(f"a_original={a_orig} a_modified={a_mod}")
         if a is None:
             a = a_orig if args.a_rule == "original" else a_mod

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import (HistogramConfig, estimate_a_modified, estimate_a_original,
-                        estimate_beta_histogram)
+from .baselines import HistogramConfig, estimate_a, estimate_beta_histogram
 from .errors import DataError
 from .estimator import EstimatorConfig, EstimatorState, estimate
 from .localmap import ObservationSet, generate_dr_pairs
@@ -67,6 +66,8 @@ class RecoveryConfig:
             raise ValueError(f"repeats must be at least 1, got {self.repeats}")
         if not self.visibilities:
             raise ValueError("need at least one visibility")
+        if len(set(self.visibilities)) < len(self.visibilities):
+            raise ValueError(f"visibilities must not repeat, got {self.visibilities}")
 
 
 @dataclass
@@ -148,8 +149,7 @@ def run_recovery_suite(config: RecoveryConfig = RecoveryConfig(),
                                           GammaMap.identity(), "gray", estimator.xi_f)
                         for upto in range(estimator.xi_f, len(frame_ids))] + [obs]
             image = _scenario_image(image_rng, fog, config.noise.std)
-            a_orig = estimate_a_original(image)
-            a_mod = estimate_a_modified(image)
+            a_orig, a_mod = estimate_a(image)
 
             runs = (
                 ("ours", lambda: _run_ours(prefixes, estimator)),

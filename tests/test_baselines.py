@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from foglab.baselines import (HistogramConfig, _top_dark_pixels, dark_channel,
-                              dump_histogram, estimate_a_modified, estimate_a_original,
+from foglab.baselines import (HistogramConfig, dark_channel, dump_histogram, estimate_a,
+                              estimate_a_modified, estimate_a_original,
                               estimate_beta_histogram, pairwise_betas)
 from foglab.errors import NotEnoughDataError
 from foglab.localmap import Observation, ObservationSet
@@ -47,7 +47,7 @@ def test_dark_channel_min_filter_dilates_dark_pixel():
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (64, 96)])
-@pytest.mark.parametrize("radius", range(5))
+@pytest.mark.parametrize("radius", [*range(5), 50, 10**6])
 def test_dark_channel_is_the_clamped_window_minimum(shape, radius):
     image = np.random.default_rng(radius).integers(0, 256, shape + (3,)).astype(float)
     gray = image.min(axis=2)
@@ -73,16 +73,14 @@ def test_dark_channel_validation():
 
 def test_a_estimators_on_uniform_image():
     img = np.full((50, 50), 200.0)
-    assert estimate_a_original(img) == 200.0
-    assert estimate_a_modified(img) == 200.0
+    assert estimate_a(img) == (200.0, 200.0)
 
 
 def test_a_estimators_pick_fog_region():
     # left half: near, dark scene; right half: fully fog-washed at a=204
     img = np.full((40, 80), 204.0)
     img[:, :40] = 30.0
-    assert estimate_a_original(img) == 204.0
-    assert estimate_a_modified(img) == 204.0
+    assert estimate_a(img) == (204.0, 204.0)
 
 
 def test_a_original_exceeds_modified_with_outlier():
@@ -91,8 +89,7 @@ def test_a_original_exceeds_modified_with_outlier():
     img = np.full((40, 80), 204.0)
     img[:, :40] = 30.0
     img[0, 79] = 255.0
-    assert estimate_a_original(img, radius=0) == 255.0
-    assert estimate_a_modified(img, radius=0) == 204.0
+    assert estimate_a(img, radius=0) == (255.0, 204.0)
 
 
 def test_a_estimators_on_synthesized_fog():
@@ -100,15 +97,15 @@ def test_a_estimators_on_synthesized_fog():
     clear = rng.uniform(20.0, 80.0, size=(60, 60))
     dist = rng.uniform(150.0, 300.0, size=(60, 60))
     img = synthesize_fog_image(clear, dist, IntensityFogParams(beta=0.05, a=204.0))
-    assert estimate_a_modified(img) == pytest.approx(204.0, abs=5.0)
+    assert estimate_a(img)[1] == pytest.approx(204.0, abs=5.0)
 
 
 def test_a_color_image_gives_per_channel_values():
     img = np.full((40, 40, 3), 204.0)
     img[..., 1] = 190.0
-    out = estimate_a_modified(img)
-    assert out.shape == (3,)
-    assert out[0] == 204.0 and out[1] == 190.0
+    for out in estimate_a(img):
+        assert out.shape == (3,)
+        assert out[0] == 204.0 and out[1] == 190.0
 
 
 # --- pairwise beta ----------------------------------------------------------------
@@ -120,9 +117,18 @@ def test_top_dark_pixels_break_ties_by_flat_index():
     tied = [2999, 7, 1500, 123, 42]
     for tag, k in enumerate([2500, *tied]):
         image.reshape(-1, 3)[k] = (220.0 if k == 2500 else 200.0, 230.0 + tag, 240.0)
-    picked = _top_dark_pixels(image, radius=0)
-    # the darkest value first, then the tied pixels in flat index order
-    assert picked[:, 1].tolist() == [230.0, 232.0, 235.0]
+    a_max, a_med = estimate_a(image, radius=0)
+    # the darkest value first, then the tied pixels in flat index order:
+    # tags 230, 232 and 235; any other tied pair moves the maximum or median
+    assert (a_max[1], a_med[1]) == (235.0, 232.0)
+
+
+def test_the_single_rule_names_are_the_parts_of_estimate_a():
+    img = np.random.default_rng(5).integers(0, 256, (30, 40, 3)).astype(float)
+    for image in (img, img[..., 0]):
+        a_orig, a_mod = estimate_a(image)
+        assert np.array_equal(estimate_a_original(image), a_orig)
+        assert np.array_equal(estimate_a_modified(image), a_mod)
 
 
 def test_pairwise_beta_exact_on_noiseless_model():

@@ -41,6 +41,7 @@ def test_smoke_run_prints_one_line_per_op_and_repeats_exactly():
     for line in lines:
         assert line["failed"] is False
         [beta] = [float.fromhex(b) for b in line["betas"]]
+        assert line["baseline_betas"] == []
         assert math.isfinite(beta) and beta > 0
         # one estimate per stream op: a stage-1 and a stage-2 solve
         assert len(line["solves"]) == 2
@@ -58,6 +59,10 @@ def test_smoke_run_of_every_other_workload(workload):
     assert line["op"] == 0 and line["failed"] is False
     betas = [float.fromhex(b) for b in line["betas"]]
     assert betas and all(math.isfinite(beta) and beta > 0 for beta in betas)
+    baseline_betas = [float.fromhex(b) for b in line["baseline_betas"]]
+    # li-orig and li-mod for each recovery scenario, no Li baseline elsewhere
+    assert len(baseline_betas) == (2 if workload == "recovery" else 0)
+    assert all(math.isfinite(beta) for beta in baseline_betas)
     assert line["solves"]
     assert all(n >= 1 and reason in REASONS for n, reason in line["solves"])
     assert SHA256.fullmatch(line["observations"])

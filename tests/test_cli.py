@@ -244,6 +244,17 @@ def test_baseline_from_a_color_image_uses_the_luma_of_a(tmp_path, capsys):
     assert "a_gray" not in out and "a=200.0" in out
 
 
+def test_baseline_radius_past_the_image_is_the_whole_image(tmp_path, capsys):
+    # a 64x96 image: radius 95 already spans it, so a larger radius changes
+    # nothing and allocates nothing more
+    img_path = tmp_path / "frame.pgm"
+    write_image(img_path, np.random.default_rng(2).integers(0, 256, (64, 96)).astype(np.uint8))
+    assert run("baseline", "--image", img_path, "--radius", 95) == 0
+    whole = capsys.readouterr().out
+    assert run("baseline", "--image", img_path, "--radius", 1000000) == 0
+    assert capsys.readouterr().out == whole
+
+
 def test_baseline_map_without_a_fails(tmp_path, capsys):
     map_path, _ = make_map(tmp_path)
     assert run("baseline", "--map", map_path) == 1

@@ -70,6 +70,9 @@ def test_recovery_config_validation():
             RecoveryConfig(repeats=repeats)
     with pytest.raises(ValueError, match="visibility"):
         RecoveryConfig(visibilities=())
+    # a repeated level would be scored once per repeat in the summary
+    with pytest.raises(ValueError, match="must not repeat"):
+        RecoveryConfig(visibilities=(30.0, 30.0), repeats=1)
 
 
 def test_sequential_runner_needs_enough_frames():

@@ -8,12 +8,13 @@ or recovery) at SEED, with ``foglab`` imported from ``CHECKOUT/src``. The
 workload code is this repository's ``perfbench/workloads.py``, so two
 checkouts run the same ops; its inputs are written to a temporary directory
 outside both trees. Prints one JSON line per op: the op index, the hex of
-every beta the op returns, each solve's (iterations, stop reason) in call
-order, taken from the stage-1 and stage-2 reports of each estimate's result,
-and a SHA-256 digest of the observations every estimate of the op
-was given (the bytes of their ``frame``, ``landmark``, ``distance`` and
-``radiance`` columns, in call order), so that a change to ingest is checked
-before the solver sees it. Two checkouts compute bitwise the same estimates
+every beta the op returns and of every Li baseline beta a ``recovery`` op
+returns (``baseline_betas``, empty for the other workloads), each solve's
+(iterations, stop reason) in call order, taken from the stage-1 and stage-2
+reports of each estimate's result, and a SHA-256 digest of the observations
+every estimate of the op was given (the bytes of their ``frame``,
+``landmark``, ``distance`` and ``radiance`` columns, in call order), so that
+a change to ingest is checked before the solver sees it. Two checkouts compute bitwise the same estimates
 from the same observations when their outputs are equal:
 
     python3 tools/beta_bits.py ../parent trials 1 300 > parent.txt
@@ -100,6 +101,8 @@ def main(argv=None) -> int:
             result = op(i)
             line = {"op": i, "failed": result.failed,
                     "betas": [float(b).hex() for b in result.betas],
+                    "baseline_betas": [float(b).hex() for b in
+                                       result.extra.get("baseline_betas", ())],
                     "solves": [[r.iterations, r.reason] for res in results
                                for r in (res.stage1, res.stage2) if r is not None],
                     "observations": observation_digest(inputs)}
