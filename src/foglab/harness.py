@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .baselines import HistogramConfig, estimate_a, estimate_beta_histogram
-from .errors import DataError
+from .errors import DataError, NotEnoughDataError
 from .estimator import EstimatorConfig, EstimatorState, estimate
 from .localmap import ObservationSet, generate_dr_pairs
 from .metrics import MetricsReport, compute_metrics
@@ -88,6 +89,8 @@ class RecoveryReport:
     summary: dict[tuple[str, str], MetricsReport]   # (method, "beta"|"a")
 
     def beta_rmse(self, method: str) -> float:
+        if method in METHODS and (method, "beta") not in self.summary:
+            raise NotEnoughDataError(f"{method} failed in every scenario")
         return self.summary[(method, "beta")].rmse
 
 
@@ -121,6 +124,58 @@ def _run_ours(prefixes: list[ObservationSet], config: EstimatorConfig):
     return res.estimate.beta, res.estimate.l_inf
 
 
+def _or_none(run):
+    """``run()``, or None where it raises a DataError: a failed row."""
+    try:
+        return run()
+    except DataError:
+        return None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot tell or cannot fork."""
+    from multiprocessing import get_all_start_methods
+    if hasattr(os, "sched_getaffinity") and "fork" in get_all_start_methods():
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _run_streams(jobs: list) -> list:
+    """``(beta, l_inf)`` of each ``(prefixes, config)`` stream in ``jobs``, or
+    None where it raised a DataError, on every usable CPU: this process runs
+    the first of one contiguous run per CPU, and a forked worker, started
+    from this process's memory, each other. No pool or executor: they start
+    threads, and a process with threads must not fork."""
+    import multiprocessing
+
+    def outcomes(run):
+        try:
+            return [_or_none(lambda: _run_ours(*job)) for job in run]
+        except Exception as exc:        # raised below, once every worker is joined
+            return exc
+
+    n = max(1, min(_usable_cpus(), len(jobs)))
+    cuts = [(len(jobs) * k + n - 1) // n for k in range(n + 1)]
+    workers = []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            receive, send = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.get_context("fork").Process(
+                target=lambda run=jobs[lo:hi], conn=send: conn.send(outcomes(run)))
+            workers.append((worker, receive))
+            worker.start()
+            send.close()
+        parts = [outcomes(jobs[:cuts[1]])] + [receive.recv() for _, receive in workers]
+    finally:
+        for worker, receive in workers:
+            receive.close()             # a worker still sending then stops
+            worker.join()
+    for part in parts:
+        if isinstance(part, Exception):
+            raise part
+    return [outcome for part in parts for outcome in part]
+
+
 def run_recovery_suite(config: RecoveryConfig = RecoveryConfig(),
                        out_dir=None) -> RecoveryReport:
     estimator = EstimatorConfig()
@@ -130,7 +185,7 @@ def run_recovery_suite(config: RecoveryConfig = RecoveryConfig(),
     n_scenarios = len(config.visibilities) * config.repeats
     seeds = np.random.SeedSequence(config.seed).generate_state(2 * n_scenarios)
 
-    rows: list[ScenarioRow] = []
+    scenarios, jobs = [], []
     idx = 0
     for v in config.visibilities:
         beta_gt = beta_from_visibility(v)
@@ -149,30 +204,22 @@ def run_recovery_suite(config: RecoveryConfig = RecoveryConfig(),
                                           GammaMap.identity(), "gray", estimator.xi_f)
                         for upto in range(estimator.xi_f, len(frame_ids))] + [obs]
             image = _scenario_image(image_rng, fog, config.noise.std)
-            a_orig, a_mod = estimate_a(image)
+            scenarios.append((v, rep, beta_gt, obs, *estimate_a(image)))
+            jobs += [(prefixes, estimator), (prefixes, one_stage), (prefixes, uniform)]
 
-            runs = (
-                ("ours", lambda: _run_ours(prefixes, estimator)),
-                ("ours-1stage", lambda: _run_ours(prefixes, one_stage)),
-                ("ours-uniform", lambda: _run_ours(prefixes, uniform)),
-                ("li-orig", lambda: (
-                    estimate_beta_histogram(obs, a_orig)[0], a_orig)),
-                ("li-mod", lambda: (
-                    estimate_beta_histogram(obs, a_mod, HistogramConfig.bounded())[0],
-                    a_mod)),
-            )
-            for name, run in runs:
-                try:
-                    beta_est, a_est = run()
-                    rows.append(ScenarioRow(v, rep, name, beta_gt, beta_est,
-                                            A_INTENSITY, a_est))
-                except DataError:
-                    rows.append(ScenarioRow(v, rep, name, beta_gt, math.nan,
-                                            A_INTENSITY, math.nan, failed=True))
+    streams = _run_streams(jobs)
+    rows: list[ScenarioRow] = []
+    for k, (v, rep, beta_gt, obs, a_orig, a_mod) in enumerate(scenarios):
+        outcomes = streams[3 * k:3 * k + 3] + [
+            _or_none(lambda: (estimate_beta_histogram(obs, a, cfg)[0], a))
+            for a, cfg in ((a_orig, HistogramConfig()), (a_mod, HistogramConfig.bounded()))]
+        for name, outcome in zip(METHODS, outcomes):
+            beta_est, a_est = (math.nan, math.nan) if outcome is None else outcome
+            rows.append(ScenarioRow(v, rep, name, beta_gt, beta_est,
+                                    A_INTENSITY, a_est, failed=outcome is None))
 
     report = RecoveryReport(rows, _summarize(rows, config))
     if out_dir is not None:
-        import os
         os.makedirs(out_dir, exist_ok=True)
         write_scenario_csv(os.path.join(out_dir, "scenarios.csv"), rows)
         write_summary_csv(os.path.join(out_dir, "summary.csv"), report.summary)

@@ -63,7 +63,11 @@ def test_smoke_run_of_every_other_workload(workload):
     # li-orig and li-mod for each recovery scenario, no Li baseline elsewhere
     assert len(baseline_betas) == (2 if workload == "recovery" else 0)
     assert all(math.isfinite(beta) for beta in baseline_betas)
-    assert line["solves"]
+    # two solves per two-stage estimate, one per one-stage estimate: a bigmap
+    # op makes one estimate, a trials op four, and a recovery op three per
+    # stream (two frame prefixes, then the whole map) for each of ours,
+    # ours-uniform (two-stage) and ours-1stage (one-stage)
+    assert len(line["solves"]) == {"bigmap": 2, "trials": 8, "recovery": 15}[workload]
     assert all(n >= 1 and reason in REASONS for n, reason in line["solves"])
     assert SHA256.fullmatch(line["observations"])
 

@@ -2,10 +2,13 @@
 
 import csv
 import math
+import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from foglab import harness
 from foglab.errors import NotEnoughDataError
 from foglab.estimator import EstimatorConfig
 from foglab.harness import (METHODS, SCENARIO_CSV_FIELDS, SUMMARY_CSV_FIELDS,
@@ -62,6 +65,63 @@ def test_recovery_is_reproducible():
     r1 = run_recovery_suite(SMALL)
     r2 = run_recovery_suite(SMALL)
     assert r1.rows == r2.rows
+
+
+def run_on(monkeypatch, cpus, config):
+    """The suite's rows, as exact text, with ``cpus`` usable CPUs."""
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_usable_cpus", lambda: cpus)
+        return [repr(row) for row in run_recovery_suite(config).rows]
+
+
+@pytest.mark.parametrize("config", [SMALL, RecoveryConfig(visibilities=(30.0, 50.0, 80.0),
+                                                          repeats=1)])
+def test_streams_give_the_same_rows_on_one_cpu_and_on_many(monkeypatch, config):
+    # SMALL has 6 streams, the 3-scenario suite 9, which 2 CPUs cut into runs
+    # of 5 and 4; a count of 3 runs workers even where fewer CPUs are usable
+    rows = run_on(monkeypatch, 1, config)
+    assert run_on(monkeypatch, harness._usable_cpus(), config) == rows
+    assert run_on(monkeypatch, 3, config) == rows
+    assert multiprocessing.active_children() == []
+
+
+def test_a_method_that_failed_everywhere_has_no_rmse(monkeypatch):
+    # 10 landmarks are fewer than xi_k, so every ours* stream fails; with 3
+    # CPUs two of them fail in a worker
+    config = RecoveryConfig(visibilities=(30.0,), repeats=1)
+    config = replace(config, scene=replace(config.scene, n_landmarks=10))
+    rows = run_on(monkeypatch, 3, config)
+    assert rows == run_on(monkeypatch, 1, config)
+    report = run_recovery_suite(config)
+    assert [(r.method, r.failed) for r in report.rows] == [
+        ("ours", True), ("ours-1stage", True), ("ours-uniform", True),
+        ("li-orig", False), ("li-mod", False)]
+    for method in ("ours", "ours-1stage", "ours-uniform"):
+        with pytest.raises(NotEnoughDataError, match=f"^{method} failed in every scenario$"):
+            report.beta_rmse(method)
+    assert report.beta_rmse("li-mod") >= 0.0
+    with pytest.raises(KeyError):
+        report.beta_rmse("ours-2stage")
+
+
+def test_a_stream_error_in_a_worker_reaches_the_caller(monkeypatch):
+    def run_ours(prefixes, config):
+        if prefixes == "broken":
+            raise FloatingPointError(f"stream {config} broke")
+        if prefixes == "no data":
+            raise NotEnoughDataError("too few landmarks")
+        return prefixes, config
+
+    monkeypatch.setattr(harness, "_run_ours", run_ours)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    # 5 jobs on 3 CPUs: jobs 0-1 run here, 2-3 and 4 in two workers
+    jobs = [("a", 0), ("b", 1), ("c", 2), ("no data", 3), ("e", 4)]
+    assert harness._run_streams(jobs) == [("a", 0), ("b", 1), ("c", 2), None, ("e", 4)]
+    for broken in (4, 2, 0):
+        failing = [("broken", k) if k == broken else job for k, job in enumerate(jobs)]
+        with pytest.raises(FloatingPointError, match=f"^stream {broken} broke$"):
+            harness._run_streams(failing)
+        assert multiprocessing.active_children() == []
 
 
 def test_recovery_config_validation():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import os
 import subprocess
 import sys
 import time
@@ -43,6 +44,19 @@ def test_one_seed_smoke_run():
                                                           "ours - ours-uniform"]
     assert all("negative on 1/1 seeds, sign test p=1" in line for line in ablations)
     assert elapsed < 3.0
+
+
+def test_each_line_is_printed_once():
+    # the suite forks its stream workers after the header is printed; with
+    # stdout on a pipe, and buffered, the header is still in the buffer then
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, str(TOOL), str(ROOT), "0", "1"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines[:3]] == ["seed", "0", "1"]
+    assert lines[3].startswith("ordering holds on ") and lines[3].count("/2 seeds") == 1
+    assert [line.split()[0] for line in lines[4:]] == ["mean", "ours", "ours"]
 
 
 def test_refusals():

@@ -23,6 +23,12 @@ from the same observations when their outputs are equal:
 
 As in perfbench, BLAS runs on one thread, since the LM path depends on the
 BLAS reduction order. ``--smoke`` uses perfbench's tiny input sizes.
+
+The tool pins its own process to one CPU before it runs any op. The
+recovery suite runs its joint-estimator streams in forked workers, one per
+usable CPU, and the ``estimator.estimate`` hook sees only the estimates made
+in this process; on one CPU every stream runs here, in the suite's order, so
+the tool lists every solve of a ``recovery`` op.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -87,6 +94,9 @@ def main(argv=None) -> int:
     if not import_foglab(args.checkout, PERFBENCH):
         return 2
     import workloads
+
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
     inputs: list = []
     results: list = []
