@@ -7,6 +7,7 @@ observations, numerical failures), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -96,6 +97,16 @@ def _config_value(key: str, value, default):
     if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, kinds):
         raise DataError(f"config key {key!r} takes {name}, got {value!r}")
     return value
+
+
+@contextlib.contextmanager
+def _csv_errors(reader: csv.DictReader):
+    """A malformed record read inside is a DataError naming the line that
+    ``reader.reader`` counts (``reader.line_num`` lags until a record is read)."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise DataError(f"csv line {reader.reader.line_num}: {exc}") from None
 
 
 def _csv_number(reader: csv.DictReader, rec: dict, column: str) -> float:
@@ -208,16 +219,17 @@ def _cmd_baseline(args) -> int:
 def _cmd_fit_gamma(args) -> int:
     series: dict[str, tuple[list[float], list[float]]] = {}
     reader = csv.DictReader(io.StringIO(read_ascii(args.csv)))
-    if reader.fieldnames is None or \
-            not {"channel", "intensity", "power"} <= set(reader.fieldnames):
-        raise DataError("calibration csv needs channel,intensity,power columns")
-    for rec in reader:
-        try:
-            chan = series.setdefault(check_channel(rec["channel"]), ([], []))
-        except ValueError as exc:
-            raise DataError(f"csv line {reader.line_num}: {exc}") from None
-        chan[0].append(_csv_number(reader, rec, "intensity"))
-        chan[1].append(_csv_number(reader, rec, "power"))
+    with _csv_errors(reader):
+        if reader.fieldnames is None or \
+                not {"channel", "intensity", "power"} <= set(reader.fieldnames):
+            raise DataError("calibration csv needs channel,intensity,power columns")
+        for rec in reader:
+            try:
+                chan = series.setdefault(check_channel(rec["channel"]), ([], []))
+            except ValueError as exc:
+                raise DataError(f"csv line {reader.line_num}: {exc}") from None
+            chan[0].append(_csv_number(reader, rec, "intensity"))
+            chan[1].append(_csv_number(reader, rec, "power"))
     fitted: dict[str, GammaMap] = {}
     for name, (i, p) in series.items():
         gmap, resid = fit_gamma_map(CalibrationSeries(np.array(i), np.array(p)))
@@ -253,11 +265,8 @@ def _cmd_gamma_bias(args) -> int:
                                 quantize=False, domain=args.noise_domain)
     result = simulator.gamma_bias_experiment(args.trials, args.beta, gmap, noise)
     if args.out:
-        with open(args.out, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "beta_radiance", "beta_intensity"])
-            for k, (br, bi) in enumerate(result.pairs):
-                writer.writerow([k, repr(br), repr(bi)])
+        harness.write_csv(args.out, ("trial", "beta_radiance", "beta_intensity"),
+                          ((k, *pair) for k, pair in enumerate(result.pairs)))
     br = result.radiance_betas
     bi = result.intensity_betas
     if br.size == 0:
@@ -299,15 +308,16 @@ def _cmd_histogram_demo(args) -> int:
 def _cmd_metrics(args) -> int:
     estimates, truths = [], []
     reader = csv.DictReader(io.StringIO(read_ascii(args.csv)))
-    columns = reader.fieldnames or []
-    if args.column not in columns:
-        raise DataError(f"csv has no column {args.column!r}")
-    if args.truth is None and args.truth_column not in columns:
-        raise DataError(f"csv has no column {args.truth_column!r}; pass --truth")
-    for rec in reader:
-        estimates.append(_csv_number(reader, rec, args.column))
-        if args.truth is None:
-            truths.append(_csv_number(reader, rec, args.truth_column))
+    with _csv_errors(reader):
+        columns = reader.fieldnames or []
+        if args.column not in columns:
+            raise DataError(f"csv has no column {args.column!r}")
+        if args.truth is None and args.truth_column not in columns:
+            raise DataError(f"csv has no column {args.truth_column!r}; pass --truth")
+        for rec in reader:
+            estimates.append(_csv_number(reader, rec, args.column))
+            if args.truth is None:
+                truths.append(_csv_number(reader, rec, args.truth_column))
     truth = args.truth if args.truth is not None else truths
     m = compute_metrics(estimates, truth)
     print(f"n={m.n} rmse={m.rmse:.6g} mae={m.mae:.6g} sd={m.sd:.6g} "

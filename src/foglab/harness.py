@@ -24,9 +24,10 @@ levels.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -182,30 +183,24 @@ def run_recovery_suite(config: RecoveryConfig = RecoveryConfig(),
     one_stage = replace(estimator, two_stage=False)
     uniform = replace(estimator, uniform_weights=True)
 
-    n_scenarios = len(config.visibilities) * config.repeats
-    seeds = np.random.SeedSequence(config.seed).generate_state(2 * n_scenarios)
-
+    grid = list(itertools.product(config.visibilities, range(config.repeats)))
+    seeds = np.random.SeedSequence(config.seed).generate_state(2 * len(grid))
     scenarios, jobs = [], []
-    idx = 0
-    for v in config.visibilities:
-        beta_gt = beta_from_visibility(v)
-        fog = IntensityFogParams(beta_gt, A_INTENSITY)
-        for rep in range(config.repeats):
-            scene_seed = int(seeds[2 * idx])
-            image_rng = np.random.default_rng(int(seeds[2 * idx + 1]))
-            idx += 1
-            graph, _truth = generate_scene(
-                config.scene, fog, None, replace(config.noise, seed=scene_seed))
-            # frames are revealed in id order once enough are present; the
-            # whole map closes the stream and is what the Li variants see
-            frame_ids = sorted(graph.frames)
-            obs = generate_dr_pairs(graph, GammaMap.identity(), "gray", estimator.xi_f)
-            prefixes = [generate_dr_pairs(graph.frame_subset(frame_ids[:upto]),
-                                          GammaMap.identity(), "gray", estimator.xi_f)
-                        for upto in range(estimator.xi_f, len(frame_ids))] + [obs]
-            image = _scenario_image(image_rng, fog, config.noise.std)
-            scenarios.append((v, rep, beta_gt, obs, *estimate_a(image)))
-            jobs += [(prefixes, estimator), (prefixes, one_stage), (prefixes, uniform)]
+    for (v, rep), (scene_seed, image_seed) in zip(grid, seeds.reshape(-1, 2).tolist()):
+        fog = IntensityFogParams(beta_from_visibility(v), A_INTENSITY)
+        graph, _truth = generate_scene(
+            config.scene, fog, None, replace(config.noise, seed=scene_seed))
+        # frames are revealed in id order once xi_f are present (a shorter
+        # scene all at once); the whole map, the last prefix, closes the
+        # stream and is what the Li variants see
+        frame_ids = sorted(graph.frames)
+        prefixes = [generate_dr_pairs(graph.frame_subset(frame_ids[:upto]),
+                                      GammaMap.identity(), "gray", estimator.xi_f)
+                    for upto in range(min(estimator.xi_f, len(frame_ids)),
+                                      len(frame_ids) + 1)]
+        image = _scenario_image(np.random.default_rng(image_seed), fog, config.noise.std)
+        scenarios.append((v, rep, fog.beta, prefixes[-1], *estimate_a(image)))
+        jobs += [(prefixes, estimator), (prefixes, one_stage), (prefixes, uniform)]
 
     streams = _run_streams(jobs)
     rows: list[ScenarioRow] = []
@@ -228,31 +223,19 @@ def run_recovery_suite(config: RecoveryConfig = RecoveryConfig(),
 
 def _summarize(rows: list[ScenarioRow],
                config: RecoveryConfig) -> dict[tuple[str, str], MetricsReport]:
+    """Per (method, parameter): each metric averaged over the visibility
+    levels where the method has successful rows, ``n`` summed."""
     summary: dict[tuple[str, str], MetricsReport] = {}
-    for method in METHODS:
-        for param in ("beta", "a"):
-            per_level: list[MetricsReport] = []
-            for v in config.visibilities:
-                ok = [r for r in rows
-                      if r.method == method and r.visibility == v and not r.failed]
-                if not ok:
-                    continue
-                if param == "beta":
-                    per_level.append(compute_metrics([r.beta_est for r in ok],
-                                                     ok[0].beta_gt))
-                else:
-                    per_level.append(compute_metrics([r.a_est for r in ok],
-                                                     ok[0].a_gt))
-            if not per_level:
-                continue
-            summary[(method, param)] = MetricsReport(
-                rmse=float(np.mean([m.rmse for m in per_level])),
-                mae=float(np.mean([m.mae for m in per_level])),
-                sd=float(np.mean([m.sd for m in per_level])),
-                rmse_rel=float(np.mean([m.rmse_rel for m in per_level])),
-                mae_rel=float(np.mean([m.mae_rel for m in per_level])),
-                sd_rel=float(np.mean([m.sd_rel for m in per_level])),
-                n=int(sum(m.n for m in per_level)))
+    for method, param in itertools.product(METHODS, ("beta", "a")):
+        per_level = [compute_metrics([getattr(r, f"{param}_est") for r in ok],
+                                     getattr(ok[0], f"{param}_gt"))
+                     for v in config.visibilities
+                     if (ok := [r for r in rows
+                                if r.method == method and r.visibility == v and not r.failed])]
+        if per_level:
+            summary[(method, param)] = MetricsReport(**{
+                f.name: float(np.mean([getattr(m, f.name) for m in per_level]))
+                for f in fields(MetricsReport)} | {"n": sum(m.n for m in per_level)})
     return summary
 
 
@@ -327,21 +310,22 @@ def run_histogram_demo(config: HistogramDemoConfig = HistogramDemoConfig()) -> H
         n_pairs_bounded=int(hist_b[1].sum()))
 
 
-def write_scenario_csv(path, rows: list[ScenarioRow]) -> None:
+def write_csv(path, header, rows) -> None:
+    """``header``, then each of ``rows``, as ASCII CSV; a float is written as
+    its ``repr``, which is Python's ``str`` of a float."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SCENARIO_CSV_FIELDS)
-        for r in rows:
-            writer.writerow([repr(r.visibility), r.repeat, r.method,
-                             repr(r.beta_gt), repr(r.beta_est),
-                             repr(r.a_gt), repr(r.a_est), int(r.failed)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_scenario_csv(path, rows: list[ScenarioRow]) -> None:
+    write_csv(path, SCENARIO_CSV_FIELDS,
+              ([getattr(r, name) for name in SCENARIO_CSV_FIELDS[:-1]] + [int(r.failed)]
+               for r in rows))
 
 
 def write_summary_csv(path, summary: dict[tuple[str, str], MetricsReport]) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_CSV_FIELDS)
-        for (method, param), m in sorted(summary.items()):
-            writer.writerow([method, param, repr(m.rmse), repr(m.rmse_rel),
-                             repr(m.mae), repr(m.mae_rel),
-                             repr(m.sd), repr(m.sd_rel), m.n])
+    write_csv(path, SUMMARY_CSV_FIELDS,
+              ([method, param] + [getattr(m, name) for name in SUMMARY_CSV_FIELDS[2:]]
+               for (method, param), m in sorted(summary.items())))

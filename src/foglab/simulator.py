@@ -43,7 +43,7 @@ class SceneSpec:
         if not np.isfinite(self.frame_spacing):
             raise ValueError("frame_spacing must be finite")
         if self.explicit_distances is None:
-            closest = start_min - (self.n_frames - 1) * self.frame_spacing
+            closest = min(start_min, start_min - (self.n_frames - 1) * self.frame_spacing)
             if closest <= 0:
                 raise ValueError("distance schedule reaches zero; raise start distances")
         else:

@@ -15,7 +15,8 @@ from foglab.photometry import CHANNEL_NAMES, GammaMap, expand, load_gamma_file
 from foglab.rasters import read_distance_map, read_image, write_distance_map, write_image
 from foglab.scattering import (FogParams, IntensityFogParams, quantize_to_u8,
                                synthesize_fog_image)
-from foglab.simulator import NoiseSpec, SceneSpec, generate_scene
+from foglab.simulator import (NoiseSpec, SceneSpec, gamma_bias_experiment,
+                              generate_scene)
 
 
 def run(*argv):
@@ -315,6 +316,21 @@ def test_fit_gamma_refuses_digit_groups(tmp_path, capsys):
     assert capsys.readouterr().err == "error: csv line 3: intensity must be a number, got '2_0'\n"
 
 
+@pytest.mark.parametrize("command, header, row", [
+    (["fit-gamma", "--out", "out.gamma", "--csv"], "channel,intensity,power", "gray,{},2"),
+    (["metrics", "--csv"], "estimate,truth", "{},10.0")], ids=["fit-gamma", "metrics"])
+def test_an_oversized_csv_field_names_its_line(tmp_path, monkeypatch, capsys,
+                                               command, header, row):
+    # csv refuses a field over 131,072 characters
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "input.csv"
+    path.write_text(f"{header}\n{row.format(10)}\n{row.format('1' * 200_000)}\n")
+    assert run(*command, path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: csv line 3: field larger than field limit")
+    assert "Traceback" not in err and sorted(tmp_path.iterdir()) == [path]
+
+
 def test_synthesize_fog_command(tmp_path):
     clear = np.full((8, 10), 100, dtype=np.uint8)
     dist = np.full((8, 10), 50.0, dtype=np.float32)
@@ -372,6 +388,17 @@ def test_experiment_gamma_bias(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_experiment_gamma_bias_rows_are_the_reprs_of_the_experiment_pairs(tmp_path):
+    out = tmp_path / "pairs.csv"
+    assert run("experiment", "gamma-bias", "--trials", 3, "--seed", 0, "--out", out) == 0
+    result = gamma_bias_experiment(3, 0.025, GammaMap(255.0 ** (1.0 - 2.2), 2.2, 0.0),
+                                   NoiseSpec(std=1.0, seed=0, quantize=False,
+                                             domain="radiance"))
+    assert len(result.pairs) == 3
+    assert out.read_text(encoding="ascii").splitlines()[1:] == [
+        f"{k},{br!r},{bi!r}" for k, (br, bi) in enumerate(result.pairs)]
+
+
 @pytest.mark.parametrize("gamma", ["-400", "400"])
 def test_gamma_bias_refuses_an_exponent_without_a_default_alpha(capsys, gamma):
     # 255 ** (1 - gamma) overflows at -400 and underflows to 0 at 400
@@ -419,7 +446,10 @@ def test_simulate_with_json_config(tmp_path):
     ({"noise": 1.0}, "noise config: "),
     ({"n_landmarks": "20"}, "'n_landmarks' takes an integer"),
     ({"start_distance_range": 5}, "'start_distance_range' takes a list of 2 numbers"),
-    ({"n_frames": 2.5}, "'n_frames' takes an integer")])
+    ({"n_frames": 2.5}, "'n_frames' takes an integer"),
+    # a negative spacing recedes, so the first frame is the closest
+    ({"frame_spacing": -4.0, "start_distance_range": [-10.0, 5.0]},
+     "distance schedule reaches zero")])
 def test_simulate_rejects_bad_config(tmp_path, capsys, config, named):
     cfg = tmp_path / "scene.json"
     cfg.write_text(json.dumps(config))

@@ -13,10 +13,10 @@ from foglab.errors import NotEnoughDataError
 from foglab.estimator import EstimatorConfig
 from foglab.harness import (METHODS, SCENARIO_CSV_FIELDS, SUMMARY_CSV_FIELDS,
                             HistogramDemoConfig, RecoveryConfig, ScenarioRow,
-                            _run_ours, _scenario_image, run_histogram_demo,
+                            _run_ours, _scenario_image, _summarize, run_histogram_demo,
                             run_recovery_suite, write_scenario_csv)
 from foglab.localmap import generate_dr_pairs
-from foglab.metrics import MetricsReport
+from foglab.metrics import MetricsReport, compute_metrics
 from foglab.scattering import FogParams, IntensityFogParams, beta_from_visibility
 from foglab.simulator import NoiseSpec, SceneSpec, generate_scene
 from foglab.photometry import GammaMap
@@ -124,6 +124,38 @@ def test_a_stream_error_in_a_worker_reaches_the_caller(monkeypatch):
         assert multiprocessing.active_children() == []
 
 
+def test_a_scene_with_fewer_frames_than_xi_f_streams_only_the_whole_map():
+    # on 3 frames no landmark has xi_f = 4 sightings, so every ours* stream
+    # fails on the whole map instead of on no map at all
+    config = RecoveryConfig(visibilities=(30.0,), repeats=1)
+    config = replace(config, scene=replace(config.scene, n_frames=3))
+    rows = run_recovery_suite(config).rows
+    assert [(r.method, r.failed) for r in rows[:3]] == [(m, True) for m in METHODS[:3]]
+
+
+def test_summary_averages_a_method_over_the_levels_where_it_succeeded():
+    def row(v, method, beta_est, a_est, failed=False):
+        return ScenarioRow(v, 0, method, beta_from_visibility(v), beta_est,
+                           204.0, a_est, failed)
+
+    b30, b60 = beta_from_visibility(30.0), beta_from_visibility(60.0)
+    rows = [row(30.0, "ours", b30 * 1.1, 200.0), row(30.0, "ours", b30 * 0.8, 207.0),
+            row(60.0, "ours", b60 * 1.3, 190.0),
+            row(30.0, "li-mod", b30 * 1.2, 201.0),
+            row(60.0, "li-mod", math.nan, math.nan, failed=True),
+            row(60.0, "li-mod", math.nan, math.nan, failed=True)]
+    summary = _summarize(rows, SMALL)
+    assert set(summary) == {("ours", "beta"), ("ours", "a"), ("li-mod", "beta"), ("li-mod", "a")}
+    # li-mod has successful rows at 30 m only: its summary is that level's
+    assert summary[("li-mod", "beta")] == compute_metrics([b30 * 1.2], b30)
+    assert summary[("li-mod", "a")] == compute_metrics([201.0], 204.0)
+    # ours averages its two levels' metrics and counts every row
+    levels = [compute_metrics([b30 * 1.1, b30 * 0.8], b30), compute_metrics([b60 * 1.3], b60)]
+    assert summary[("ours", "beta")] == MetricsReport(
+        *[float(np.mean([getattr(m, name) for m in levels]))
+          for name in ("rmse", "mae", "sd", "rmse_rel", "mae_rel", "sd_rel")], n=3)
+
+
 def test_recovery_config_validation():
     for repeats in (0, -1):
         with pytest.raises(ValueError, match="repeats"):
@@ -177,6 +209,18 @@ def test_scenario_csv_round_trip(tmp_path):
     loaded = read_scenarios(path)
     assert loaded[0] == rows[0]
     assert loaded[1].failed and math.isnan(loaded[1].beta_est)
+
+
+def test_scenario_csv_text(tmp_path):
+    rows = [ScenarioRow(30.0, 0, "ours", 0.1, -0.0, 204.0, 1e-300),
+            ScenarioRow(40.0, 2, "li-mod", 0.1 + 0.2, math.nan, 204.0, math.nan,
+                        failed=True)]
+    path = tmp_path / "rows.csv"
+    write_scenario_csv(path, rows)
+    assert path.read_bytes() == (
+        b"visibility,repeat,method,beta_gt,beta_est,a_gt,a_est,failed\r\n"
+        b"30.0,0,ours,0.1,-0.0,204.0,1e-300,0\r\n"
+        b"40.0,2,li-mod,0.30000000000000004,nan,204.0,nan,1\r\n")
 
 
 def test_histogram_demo_defaults():

@@ -158,6 +158,11 @@ def test_scene_spec_validation():
         SceneSpec(n_frames=1)
     with pytest.raises(ValueError, match="schedule"):
         SceneSpec(start_distance_range=(10.0, 20.0), n_frames=6, frame_spacing=4.0)
+    # a negative spacing moves away: the first frame is the closest
+    with pytest.raises(ValueError, match="schedule"):
+        SceneSpec(n_landmarks=3, n_frames=3, start_distance_range=(0.0, 0.0),
+                  frame_spacing=-4.0)
+    assert SceneSpec(start_distance_range=(1.0, 2.0), frame_spacing=-4.0).frame_spacing == -4.0
     with pytest.raises(ValueError, match="ordered"):
         SceneSpec(start_distance_range=(90.0, 30.0))
     with pytest.raises(ValueError, match="finite"):
