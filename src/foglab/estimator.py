@@ -32,6 +32,9 @@ from .scattering import visibility_from_beta
 DEFAULT_BETA_BOUNDS = (0.001, 0.2)
 # geometric-mean-flavored midpoint of the default beta range, used cold
 DEFAULT_BETA_INIT = 0.014
+# an estimate whose beta lies this close, relative, to an end of the beta box is "at-bound"
+AT_BOUND_RTOL = 1e-9
+STATUSES = ("ok", "at-bound", "unidentifiable")
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,8 @@ class EstimatorConfig:
             raise ValueError("xi_f must be at least 2")
         if self.xi_k < 1:
             raise ValueError("xi_k must be at least 1")
-        if not (0 < self.beta_bounds[0] < self.beta_bounds[1]):
-            raise ValueError("beta bounds must satisfy 0 < lower < upper")
+        if not (0 < self.beta_bounds[0] < self.beta_bounds[1] < math.inf):
+            raise ValueError("beta bounds must satisfy 0 < lower < upper < inf")
         if not 0 < self.delta <= 255:
             # the Huber width is expanded across the middle of [0, 255]
             raise ValueError(f"delta must lie in (0, 255] intensity levels, got {self.delta}")
@@ -107,6 +110,7 @@ class EstimateResult:
     stage2: Optional[SolveReport]
     inlier_fraction: float
     degraded: bool = False
+    status: str = "ok"      # one of STATUSES; "at-bound": beta at an end of bounds.beta
 
 
 def derive_bounds(obs: ObservationSet, gmap: GammaMap,
@@ -321,16 +325,18 @@ def estimate(obs: ObservationSet, gmap: GammaMap, state: EstimatorState,
         beta=float(final[0]), l_inf=float(final[1]),
         lc=dict(zip(ids, final[2:].tolist())))
     state.previous = result
+    at_bound = any(math.isclose(result.beta, end, rel_tol=AT_BOUND_RTOL)
+                   for end in bounds.beta)
     return EstimateResult(estimate=result, bounds=bounds,
                           stage1=stage1, stage2=stage2,
                           inlier_fraction=np.count_nonzero(inlier) / inlier.size,
-                          degraded=degraded)
+                          degraded=degraded, status="at-bound" if at_bound else "ok")
 
 
 # --- estimate stream records -------------------------------------------------
 
 RECORD_FIELDS = ("frame", "channel", "beta", "l_inf", "visibility",
-                 "inlier_fraction", "stage1_cost", "stage2_cost", "degraded")
+                 "inlier_fraction", "stage1_cost", "stage2_cost", "degraded", "status")
 
 
 def format_estimate_record(frame: int, channel: str, result: EstimateResult) -> str:
@@ -339,7 +345,8 @@ def format_estimate_record(frame: int, channel: str, result: EstimateResult) -> 
     est = result.estimate
     s2 = result.stage2.cost if result.stage2 is not None else math.nan
     vals = (frame, channel, est.beta, est.l_inf, est.visibility,
-            result.inlier_fraction, result.stage1.cost, s2, int(result.degraded))
+            result.inlier_fraction, result.stage1.cost, s2, int(result.degraded),
+            result.status)
     return " ".join(f"{k}={v}" for k, v in zip(RECORD_FIELDS, vals))
 
 
@@ -348,14 +355,28 @@ def _record_value(key: str, val: str):
     writes; ValueError otherwise."""
     if key == "channel":
         return check_channel(val)
+    if key == "status":
+        if val not in STATUSES:
+            raise ValueError(f"status is one of {', '.join(STATUSES)}, got {val!r}")
+        return val
     if key in ("frame", "degraded"):
         value = parse_number(val, int)
         if key == "degraded" and value not in (0, 1):
             raise ValueError(f"degraded is 0 or 1, got {value}")
         return value
     value = parse_number(val)
-    if key == "inlier_fraction" and not 0.0 <= value <= 1.0:
-        raise ValueError(f"inlier_fraction lies in [0, 1], got {value}")
+    if key == "stage2_cost" and math.isnan(value):
+        return value
+    if key in ("beta", "visibility"):
+        ok, rule = 0.0 < value < math.inf, "is positive and finite"
+    elif key == "inlier_fraction":
+        ok, rule = 0.0 <= value <= 1.0, "lies in [0, 1]"
+    elif key in ("stage1_cost", "stage2_cost"):
+        ok, rule = 0.0 <= value < math.inf, "is finite and non-negative"
+    else:
+        ok, rule = math.isfinite(value), "is finite"
+    if not ok:
+        raise ValueError(f"{key} {rule}, got {value}")
     return value
 
 
@@ -373,7 +394,8 @@ def parse_estimate_record(line: str) -> dict:
             out[key] = _record_value(key, val)
         except ValueError as exc:
             raise MapFormatError(f"bad record field {key!r}: {exc}") from exc
-    missing = [k for k in RECORD_FIELDS if k not in out]
+    # status is optional: lines written before it existed still parse
+    missing = [k for k in RECORD_FIELDS if k not in out and k != "status"]
     if missing:
         raise MapFormatError(f"record missing fields {missing}")
     return out

@@ -37,8 +37,8 @@ from .estimator import EstimatorConfig, EstimatorState, estimate
 from .localmap import ObservationSet, generate_dr_pairs
 from .metrics import MetricsReport, compute_metrics
 from .photometry import GammaMap
-from .scattering import IntensityFogParams, beta_from_visibility, quantize_to_u8, \
-    synthesize_fog_pixel
+from .scattering import IntensityFogParams, beta_from_visibility, check_atmospheric_intensity, \
+    quantize_to_u8, synthesize_fog_image
 from .simulator import NoiseSpec, SceneSpec, generate_scene
 
 METHODS = ("ours", "ours-1stage", "ours-uniform", "li-orig", "li-mod")
@@ -106,7 +106,7 @@ def _scenario_image(rng: np.random.Generator, fog: IntensityFogParams,
     dmap[sky_rows:, :] = np.linspace(80.0, 5.0, h - sky_rows)[:, None]
     clear[50:57, 60:68] = 250.0
     dmap[50:57, 60:68] = 6.0
-    foggy = synthesize_fog_pixel(clear, fog, dmap)
+    foggy = synthesize_fog_image(clear, dmap, fog)
     foggy = foggy + noise_std * rng.standard_normal(foggy.shape)
     return quantize_to_u8(foggy)
 
@@ -264,6 +264,9 @@ class HistogramDemoConfig:
     a_perturbation: float = 4.0
     noise_std: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        check_atmospheric_intensity(A_INTENSITY + self.a_perturbation)
 
 
 @dataclass

@@ -130,9 +130,6 @@ def fit_gamma_map(series: CalibrationSeries) -> tuple[GammaMap, float]:
     """
     i = series.intensities
     p = series.powers
-    if np.ptp(p) == 0:
-        raise DegenerateDataError("constant power cannot constrain a gamma map")
-
     lo, hi = GAMMA_SEARCH_RANGE
     grid = np.linspace(lo, hi, 97)
     sse = [_profiled_sse(i, p, g)[0] for g in grid]

@@ -120,33 +120,22 @@ def synthesize_fog_image(clear: np.ndarray, distance_map: np.ndarray, params) ->
     """Apply fog to a clear image given per-pixel distances.
 
     ``clear`` is HxW (gray) or HxWx3; ``params`` is a single
-    :class:`IntensityFogParams` or a sequence of three (one per channel).
-    Returns a float array; quantize explicitly with :func:`quantize_to_u8`.
+    :class:`IntensityFogParams` for every channel or a sequence of one per
+    channel. Returns a float array; quantize explicitly with :func:`quantize_to_u8`.
     """
     clear = np.asarray(clear, dtype=float)
-    if clear.ndim not in (2, 3) or (clear.ndim == 3 and clear.shape[2] != 3):
+    if clear.ndim not in (2, 3) or clear.shape[2:] not in ((), (3,)):
         raise ValueError("clear image must be HxW or HxWx3")
-    distance_map = np.asarray(distance_map, dtype=float)
-    if distance_map.shape != clear.shape[:2]:
+    if np.shape(distance_map) != clear.shape[:2]:
         raise ValueError("distance map shape must match the image")
-    if not np.all(np.isfinite(distance_map)) or np.any(distance_map < 0):
-        raise ValueError("image synthesis requires nonnegative finite distances")
-
-    if isinstance(params, IntensityFogParams):
-        per_channel = [params] * (1 if clear.ndim == 2 else 3)
-    else:
-        per_channel = list(params)
-        if clear.ndim == 2 and len(per_channel) != 1:
-            raise ValueError("gray image takes one parameter set")
-        if clear.ndim == 3 and len(per_channel) != 3:
-            raise ValueError("color image takes three parameter sets")
-
-    if clear.ndim == 2:
-        return synthesize_fog_pixel(clear, per_channel[0], distance_map)
-    out = np.empty_like(clear)
-    for c, p in enumerate(per_channel):
-        out[:, :, c] = synthesize_fog_pixel(clear[:, :, c], p, distance_map)
-    return out
+    channels = np.atleast_3d(clear)
+    n = channels.shape[2]
+    per_channel = [params] * n if isinstance(params, IntensityFogParams) else list(params)
+    if len(per_channel) != n:
+        raise ValueError(f"one parameter set per channel ({n}) expected, got {len(per_channel)}")
+    out = np.stack([synthesize_fog_pixel(channels[..., c], p, distance_map)
+                    for c, p in enumerate(per_channel)], axis=-1)
+    return out.reshape(clear.shape)
 
 
 def quantize_to_u8(image: np.ndarray) -> np.ndarray:

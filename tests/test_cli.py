@@ -74,6 +74,8 @@ def test_estimate_rejects_thresholds_before_reading_the_map(tmp_path, capsys):
                                  ("--update-gate", -1.0, gate),
                                  ("--update-gate", "nan", gate),
                                  ("--update-gate", "inf", gate),
+                                 ("--beta-max", "inf",
+                                  "beta bounds must satisfy 0 < lower < upper < inf"),
                                  ("--delta", 300,
                                   "delta must lie in (0, 255] intensity levels, got 300.0")]:
         assert run("estimate", flag, value, missing) == 1
@@ -414,10 +416,19 @@ def test_experiment_histogram(tmp_path, capsys):
     assert run("experiment", "histogram", "--out-unbounded", out_u,
                "--out-bounded", out_b) == 0
     stdout = capsys.readouterr().out
+    assert "a_used=208 " in stdout
     assert "unbounded_beta=" in stdout and "bounded_beta=" in stdout
     votes_u = np.loadtxt(out_u, ndmin=2)[:, 1]
     votes_b = np.loadtxt(out_b, ndmin=2)[:, 1]
     assert votes_u.sum() > votes_b.sum()
+
+
+def test_experiment_histogram_refuses_an_atmospheric_value_outside_8_bits(capsys):
+    # the default 204 plus 60 levels
+    assert run("experiment", "histogram", "--a-perturbation", 60) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: atmospheric intensity must lie in [0, 255], got 264.0\n"
 
 
 def test_experiment_recovery(tmp_path, capsys):

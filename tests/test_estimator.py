@@ -1,6 +1,7 @@
 """Joint fog-parameter estimation: bounds, weights, two-stage solve, records."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from foglab.estimator import (DEFAULT_BETA_INIT, INLIER_COUNT_DTYPE,
                               format_estimate_record, huber_delta_radiance,
                               initialize, parse_estimate_record,
                               residual_and_jacobian)
+from foglab.harness import A_INTENSITY, RecoveryConfig
 from foglab.localmap import Observation, ObservationSet, generate_dr_pairs, save_map
 from foglab.photometry import GammaMap, compress, expand
-from foglab.scattering import FogParams, transmission
+from foglab.scattering import FogParams, IntensityFogParams, beta_from_visibility, transmission
 from foglab.simulator import NoiseSpec, SceneSpec, generate_scene
 
 IDENT = GammaMap.identity()
@@ -424,6 +426,10 @@ def test_config_validation():
         EstimatorConfig(beta_bounds=(0.2, 0.1))
     with pytest.raises(ValueError):
         EstimatorConfig(beta_bounds=(0.0, 0.1))
+    with pytest.raises(ValueError, match=r"0 < lower < upper < inf"):
+        EstimatorConfig(beta_bounds=(0.001, math.inf))
+    with pytest.raises(ValueError):
+        EstimatorConfig(beta_bounds=(0.001, math.nan))
     with pytest.raises(ValueError):
         EstimatorConfig(delta=0.0)
     with pytest.raises(ValueError):
@@ -439,6 +445,35 @@ def test_config_validation():
         EstimatorConfig(delta=255.5)
 
 
+# --- estimate status ---------------------------------------------------------------
+
+def recovery_scene_estimate(visibility, seed):
+    """One estimate on the recovery suite's scene and noise at ``seed``."""
+    cfg = RecoveryConfig()
+    fog = IntensityFogParams(beta_from_visibility(visibility), A_INTENSITY)
+    graph, _ = generate_scene(cfg.scene, fog, None, replace(cfg.noise, seed=seed))
+    return estimate(generate_dr_pairs(graph, IDENT), IDENT, EstimatorState())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_clear_air_estimate_is_at_the_lower_bound(seed):
+    # V = 5 km: beta 0.0006 lies below the 0.001 end of the box
+    result = recovery_scene_estimate(5000.0, seed)
+    assert result.estimate.beta == EstimatorConfig().beta_bounds[0]
+    assert result.status == "at-bound"
+
+
+@pytest.mark.parametrize("seed, beta, status", [
+    (0, 0.0866, "ok"), (1, 0.2, "at-bound"), (2, 0.2, "at-bound"),
+    (3, 0.112, "ok"), (4, 0.001, "at-bound"), (5, 0.160, "ok")])
+def test_dense_fog_estimate_status(seed, beta, status):
+    # V = 10 m: beta 0.2996 lies above the 0.2 end of the box; the estimates
+    # that stop inside the box stay "ok": no status names them yet
+    result = recovery_scene_estimate(10.0, seed)
+    assert result.estimate.beta == pytest.approx(beta, rel=5e-3)
+    assert result.status == status
+
+
 # --- estimate records -------------------------------------------------------------
 
 def test_record_round_trip():
@@ -450,6 +485,7 @@ def test_record_round_trip():
     assert rec["beta"] == pytest.approx(result.estimate.beta)
     assert rec["l_inf"] == pytest.approx(result.estimate.l_inf)
     assert rec["degraded"] == 0
+    assert rec["status"] == result.status == "ok"
 
 
 def test_record_parse_errors():
@@ -469,6 +505,13 @@ def record_line(**changes):
     return " ".join(f"{k}={v}" for k, v in {**RECORD, **changes}.items())
 
 
+def test_record_status_is_optional():
+    # lines written before the status field existed still parse
+    assert "status" not in parse_estimate_record(record_line())
+    for status in ("ok", "at-bound", "unidentifiable"):
+        assert parse_estimate_record(record_line(status=status))["status"] == status
+
+
 def test_record_parse_rejects_a_repeated_field():
     rec = parse_estimate_record(record_line())
     assert rec["beta"] == 0.05 and math.isnan(rec["stage2_cost"])
@@ -482,7 +525,10 @@ def test_record_parse_rejects_a_repeated_field():
     ("frame", "1_0"), ("beta", "0_05"), ("frame", "\u0661\u0662"), ("beta", "\u0665"),
     ("channel", "purple"), ("degraded", "5"),
     ("degraded", "-1"), ("inlier_fraction", "7"), ("inlier_fraction", "-0.5"),
-    ("inlier_fraction", "nan")])
+    ("inlier_fraction", "nan"),
+    ("beta", "nan"), ("beta", "-1"), ("beta", "0"), ("beta", "inf"), ("visibility", "-5"),
+    ("l_inf", "inf"), ("stage1_cost", "-1"), ("stage1_cost", "nan"), ("stage2_cost", "-2"),
+    ("status", "maybe")])
 def test_record_parse_rejects_a_value_of_the_wrong_type(field, value):
     with pytest.raises(MapFormatError, match=f"bad record field '{field}'"):
         parse_estimate_record(record_line(**{field: value}))

@@ -118,12 +118,38 @@ def test_fog_image_color_channels():
     assert np.allclose(out[..., 2], 100.0)
 
 
+def test_fog_image_is_the_per_channel_pixel_render():
+    rng = np.random.default_rng(3)
+    d = rng.uniform(0.0, 200.0, size=(5, 7))
+    per_channel = [IntensityFogParams(0.02, 210.0), IntensityFogParams(0.05, 180.0),
+                   IntensityFogParams(0.11, 90.0)]
+    color = rng.uniform(0.0, 255.0, size=(5, 7, 3))
+    expected = np.stack([synthesize_fog_pixel(color[..., c], p, d)
+                         for c, p in enumerate(per_channel)], axis=-1)
+    assert synthesize_fog_image(color, d, per_channel).tobytes() == expected.tobytes()
+    gray = color[..., 0]
+    for params in (per_channel[1], per_channel[1:2]):
+        out = synthesize_fog_image(gray, d, params)
+        assert out.shape == gray.shape
+        assert out.tobytes() == synthesize_fog_pixel(gray, per_channel[1], d).tobytes()
+
+
+def test_fog_image_takes_one_parameter_set_per_channel():
+    fog = IntensityFogParams(beta=0.1, a=204.0)
+    with pytest.raises(ValueError, match=r"one parameter set per channel \(3\) expected, got 2"):
+        synthesize_fog_image(np.zeros((2, 2, 3)), np.ones((2, 2)), [fog, fog])
+    with pytest.raises(ValueError, match=r"one parameter set per channel \(1\) expected, got 3"):
+        synthesize_fog_image(np.zeros((2, 2)), np.ones((2, 2)), [fog] * 3)
+
+
 def test_fog_image_shape_validation():
     fog = IntensityFogParams(beta=0.1, a=204.0)
     with pytest.raises(ValueError):
         synthesize_fog_image(np.zeros((4, 4)), np.ones((3, 3)), fog)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^distances must be finite and non-negative$"):
         synthesize_fog_image(np.zeros((4, 4)), -np.ones((4, 4)), fog)
+    with pytest.raises(ValueError, match="clear image must be HxW or HxWx3"):
+        synthesize_fog_image(np.zeros((4, 4, 2)), np.ones((4, 4)), fog)
 
 
 def test_params_validation():
